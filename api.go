@@ -68,9 +68,11 @@ type (
 	// leak checks (Live) and diagnostics. Config.NoRecycle disables it.
 	Recycler = coherence.Recycler
 	// Kernel is the deterministic discrete-event scheduler: a
-	// concrete-typed 4-ary heap ordered by (time, schedule-order) with
-	// zero steady-state allocations per Schedule/Step and a Reset method
-	// for reuse across runs.
+	// concrete-typed 4-ary heap of (time, seq, task) entries ordered by
+	// (time, schedule-order), with zero steady-state allocations per
+	// Schedule/Step, seq reservation (Reserve, AtReserved) for callers
+	// that queue sorted events of their own, and a Reset method for reuse
+	// across runs.
 	Kernel = sim.Kernel
 )
 

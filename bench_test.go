@@ -191,10 +191,12 @@ func BenchmarkSystemReuse(b *testing.B) {
 // line/txn record and directory entry recycles, so -benchmem reports zero
 // allocations per operation for all three protocols. The NoRecycle
 // sub-benchmarks run the identical simulation with the free lists disabled
-// — the delta is what the recycling buys.
+// — the delta is what the recycling buys. The -64nodes sub-benchmarks run
+// the paper's largest system, where snooping and BASH broadcasts fan out
+// 64 wide. Every sub-benchmark reports events/op: kernel events fired per
+// simulated operation, the event-core cost the timing divides into.
 func BenchmarkSteadyStateOps(b *testing.B) {
-	const nodes = 16
-	run := func(b *testing.B, p bashsim.Protocol, noRecycle bool) {
+	run := func(b *testing.B, p bashsim.Protocol, nodes int, noRecycle bool) {
 		sys := bashsim.NewSystem(bashsim.Config{
 			Protocol:     p,
 			Nodes:        nodes,
@@ -212,6 +214,7 @@ func BenchmarkSteadyStateOps(b *testing.B) {
 		target := sys.TotalOps() + 20000 // warm free lists and map buckets
 		cond := func() bool { return sys.TotalOps() >= target }
 		sys.Kernel.RunUntil(cond)
+		fired, ops := sys.Kernel.Fired(), sys.TotalOps()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -220,10 +223,12 @@ func BenchmarkSteadyStateOps(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(100, "simops/op")
+		b.ReportMetric(float64(sys.Kernel.Fired()-fired)/float64(sys.TotalOps()-ops), "events/op")
 	}
 	for _, p := range []bashsim.Protocol{bashsim.Snooping, bashsim.Directory, bashsim.BASH} {
-		b.Run(p.String(), func(b *testing.B) { run(b, p, false) })
-		b.Run(p.String()+"-norecycle", func(b *testing.B) { run(b, p, true) })
+		b.Run(p.String(), func(b *testing.B) { run(b, p, 16, false) })
+		b.Run(p.String()+"-norecycle", func(b *testing.B) { run(b, p, 16, true) })
+		b.Run(p.String()+"-64nodes", func(b *testing.B) { run(b, p, 64, false) })
 	}
 }
 

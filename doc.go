@@ -15,9 +15,14 @@
 // Four layers make large evaluations fast and exactly reproducible:
 //
 //   - The event kernel (Kernel, internal/sim) is a concrete-typed 4-ary
-//     heap ordered by (time, schedule-order): zero allocations per
-//     Schedule/Step in steady state, with Reset for reuse across runs.
-//     Identical runs replay exactly.
+//     heap of (time, seq, task) entries ordered by (time, schedule-order):
+//     zero allocations per Schedule/Step in steady state, with Reset for
+//     reuse across runs. Identical runs replay exactly. The interconnect
+//     keeps it small: an ordered broadcast is one arrival event that seizes
+//     every target's inbound channel, and each channel parks its pending
+//     handoffs in a FIFO under seqs reserved at seize time (Reserve,
+//     AtReserved), with only the FIFO's head on the heap — N+2 events per
+//     N-way broadcast, in exactly the order of one event per copy.
 //   - The run orchestrator (ParallelMap/ParallelEach, RunnerOptions;
 //     internal/runner) fans fleets of independent simulations out across a
 //     bounded worker pool and folds results in job order, so serial and

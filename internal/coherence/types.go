@@ -56,10 +56,11 @@ const (
 	DataWB
 	Ack
 	Nack
-	numKinds
+	// NumKinds is the number of message kinds, for arrays indexed by Kind.
+	NumKinds
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	"GetS", "GetM", "PutM", "FwdGetS", "FwdGetM", "Inval", "Marker",
 	"WBMarker", "WBStale", "Data", "DataWB", "Ack", "Nack",
 }

@@ -13,22 +13,12 @@ import (
 // — the interconnect demand each protocol places per transaction, the raw
 // material of the paper's bandwidth argument.
 type TrafficStats struct {
-	Messages map[coherence.Kind]uint64
-	Bytes    map[coherence.Kind]uint64
+	Messages [coherence.NumKinds]uint64
+	Bytes    [coherence.NumKinds]uint64
 }
 
-func newTrafficStats() *TrafficStats {
-	return &TrafficStats{
-		Messages: make(map[coherence.Kind]uint64),
-		Bytes:    make(map[coherence.Kind]uint64),
-	}
-}
-
-// reset clears the per-kind counters for a new run, keeping the maps.
-func (t *TrafficStats) reset() {
-	clear(t.Messages)
-	clear(t.Bytes)
-}
+// reset clears the per-kind counters for a new run.
+func (t *TrafficStats) reset() { *t = TrafficStats{} }
 
 func (t *TrafficStats) record(kind coherence.Kind, bytes int) {
 	t.Messages[kind]++
@@ -46,7 +36,7 @@ func (t *TrafficStats) TotalBytes() uint64 {
 
 // ControlBytes sums bytes of 8-byte control messages.
 func (t *TrafficStats) ControlBytes() uint64 {
-	return t.TotalBytes() - t.Bytes[coherence.Data] - t.Bytes[coherence.DataWB]
+	return t.TotalBytes() - t.DataBytes()
 }
 
 // DataBytes sums bytes of data-carrying messages.
@@ -54,20 +44,20 @@ func (t *TrafficStats) DataBytes() uint64 {
 	return t.Bytes[coherence.Data] + t.Bytes[coherence.DataWB]
 }
 
-// String renders a per-kind breakdown, largest first.
+// String renders a per-kind breakdown of the kinds that carried traffic,
+// largest first, with ties in kind order so the output is deterministic.
 func (t *TrafficStats) String() string {
-	type row struct {
-		kind  coherence.Kind
-		bytes uint64
-	}
-	var rows []row
+	kinds := make([]coherence.Kind, 0, coherence.NumKinds)
 	for k, b := range t.Bytes {
-		rows = append(rows, row{k, b})
+		if b > 0 {
+			kinds = append(kinds, coherence.Kind(k))
+		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].bytes > rows[j].bytes })
+	// Stable over ascending kinds, so equal byte counts keep kind order.
+	sort.SliceStable(kinds, func(i, j int) bool { return t.Bytes[kinds[i]] > t.Bytes[kinds[j]] })
 	var b strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s: %d msgs, %d B\n", r.kind, t.Messages[r.kind], r.bytes)
+	for _, k := range kinds {
+		fmt.Fprintf(&b, "%s: %d msgs, %d B\n", k, t.Messages[k], t.Bytes[k])
 	}
 	return b.String()
 }

@@ -13,6 +13,13 @@
 // and all deliveries observe sequence order at every node. The network is
 // asynchronous (deliveries at different nodes happen at different times), as
 // the paper requires — only the order is common.
+//
+// On the event kernel an ordered message to N targets costs N+2 events: the
+// sequencer stamp, one arrival that seizes every target's inbound channel,
+// and one handoff per target. Handoffs wait in per-channel FIFOs (inbox)
+// under kernel seqs reserved at seize time, so the kernel heap holds at most
+// one handoff per channel and the global event order is exactly that of
+// scheduling every handoff directly.
 package network
 
 import (
@@ -108,6 +115,10 @@ type Network struct {
 
 	jitter *sim.RNG
 
+	// inbox holds, per inbound channel, the messages that have won the
+	// channel and wait for their grant time (see inbox).
+	inbox []inbox
+
 	// msgFree and taskFree recycle Message records and internal scheduling
 	// tasks. Tasks are purely network-internal and always recycled; Messages
 	// are recycled only under Config.Recycle (handlers might retain them
@@ -120,9 +131,10 @@ type Network struct {
 	UnorderedSent uint64
 }
 
-// netTask is the one free-listed scheduling unit behind every network event:
-// sequencer stamping, fan-out arrival, channel-grant handoff, and delayed
-// sends. A single struct with a kind tag keeps the free list monomorphic.
+// netTask is the free-listed scheduling unit behind every network event
+// except the final handoff: sequencer stamping, arrival at the inbound
+// channels, and delayed sends. A single struct with a kind tag keeps the
+// free list monomorphic. Handoffs to the node are the inboxes' own events.
 type netTask struct {
 	n       *Network
 	kind    uint8
@@ -131,21 +143,101 @@ type netTask struct {
 	targets Mask
 	size    int
 	cost    float64
-	delay   sim.Time
 	m       *Message
 	payload any
 }
 
 // netTask kinds.
 const (
-	taskStamp      uint8 = iota // ordered: assign seq, fan deliveries out
-	taskOrdArrive               // ordered: seize the inbound channel
-	taskOrdHandoff              // ordered: hand the message to the node
-	taskUnArrive                // unordered: seize the inbound channel
-	taskUnHandoff               // unordered: hand the message to the node
-	taskSendOrd                 // delayed SendOrdered
-	taskSendUn                  // delayed SendUnordered
+	taskStamp     uint8 = iota // ordered: assign seq, schedule the one arrival
+	taskOrdArrive              // ordered: seize every target's inbound channel, in mask order
+	taskUnArrive               // unordered: seize the destination's inbound channel
+	taskSendOrd                // delayed SendOrdered
+	taskSendUn                 // delayed SendUnordered
 )
+
+// handoff is a message that has won an inbound channel and waits for its
+// grant time, under the kernel seq reserved when it seized the channel.
+type handoff struct {
+	at  sim.Time
+	seq uint64
+	m   *Message // ordered iff m.Seq != 0
+}
+
+// inbox is one inbound channel's FIFO of pending handoffs, ordered and
+// unordered alike. A channel grants in seize order and its grant times never
+// decrease, so the FIFO is sorted by (grant time, reserved seq) and only its
+// head needs a kernel heap entry: the head's event delivers it and then
+// inserts the next head under that handoff's reserved key. Every handoff
+// therefore fires at exactly the place in the global (time, seq) order it
+// would hold had it been scheduled directly, while the heap carries at most
+// one entry per channel instead of one per in-flight message.
+type inbox struct {
+	n     *Network
+	dst   NodeID
+	ring  []handoff // power-of-two ring buffer, grown by doubling
+	head  int
+	count int
+}
+
+// push queues h behind the channel's earlier handoffs, scheduling it at
+// once if it is the new head.
+func (q *inbox) push(h handoff) {
+	if q.count == len(q.ring) {
+		q.grow()
+	}
+	q.ring[(q.head+q.count)&(len(q.ring)-1)] = h
+	q.count++
+	if q.count == 1 {
+		q.n.kernel.AtReserved(h.at, h.seq, q)
+	}
+}
+
+func (q *inbox) grow() {
+	ring := make([]handoff, max(2*len(q.ring), 8))
+	for i := 0; i < q.count; i++ {
+		ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+	}
+	q.ring, q.head = ring, 0
+}
+
+// reset drops every pending handoff, keeping the ring's storage.
+func (q *inbox) reset() {
+	clear(q.ring)
+	q.head, q.count = 0, 0
+}
+
+// Run hands the head message to its node, after putting the next head on
+// the kernel heap.
+func (q *inbox) Run() {
+	h := q.ring[q.head]
+	q.ring[q.head] = handoff{}
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.count--
+	n := q.n
+	if q.count > 0 {
+		next := &q.ring[q.head]
+		n.kernel.AtReserved(next.at, next.seq, q)
+	}
+	m := h.m
+	if m.Seq != 0 {
+		if last := n.lastSeqDelivered[q.dst]; m.Seq <= last {
+			panic(fmt.Sprintf("network: total order violated at node %d: seq %d after %d", q.dst, m.Seq, last))
+		}
+		n.lastSeqDelivered[q.dst] = m.Seq
+		n.handlers[q.dst].DeliverOrdered(m)
+	} else {
+		n.handlers[q.dst].DeliverUnordered(m)
+	}
+	n.releaseMessage(m)
+}
+
+// seizeIn makes m win dst's inbound channel at the current instant and
+// queues its handoff for the grant time.
+func (n *Network) seizeIn(dst NodeID, m *Message, cost float64) {
+	grant := n.in[dst].Seize(n.kernel.Now(), m.Size, cost)
+	n.inbox[dst].push(handoff{at: grant, seq: n.kernel.Reserve(), m: m})
+}
 
 func (n *Network) getTask() *netTask {
 	if len(n.taskFree) == 0 {
@@ -193,33 +285,19 @@ func (t *netTask) Run() {
 		n.putTask(t)
 		n.stampAndFanOut(from, targets, size, cost, payload)
 	case taskOrdArrive:
-		dst, m, cost := t.dst, t.m, t.cost
+		m, cost := t.m, t.cost
 		n.putTask(t)
-		grant := n.in[dst].Seize(n.kernel.Now(), m.Size, cost)
-		h := n.getTask()
-		h.kind, h.dst, h.m = taskOrdHandoff, dst, m
-		n.kernel.AtTask(grant, h)
-	case taskOrdHandoff:
-		dst, m := t.dst, t.m
-		n.putTask(t)
-		if last := n.lastSeqDelivered[dst]; m.Seq <= last {
-			panic(fmt.Sprintf("network: total order violated at node %d: seq %d after %d", dst, m.Seq, last))
+		for wi, w := range m.Targets.w {
+			for w != 0 {
+				dst := NodeID(wi*64 + bits.TrailingZeros64(w))
+				w &= w - 1
+				n.seizeIn(dst, m, cost)
+			}
 		}
-		n.lastSeqDelivered[dst] = m.Seq
-		n.handlers[dst].DeliverOrdered(m)
-		n.releaseMessage(m)
 	case taskUnArrive:
 		dst, m := t.dst, t.m
 		n.putTask(t)
-		grant := n.in[dst].Seize(n.kernel.Now(), m.Size, 1)
-		h := n.getTask()
-		h.kind, h.dst, h.m = taskUnHandoff, dst, m
-		n.kernel.AtTask(grant, h)
-	case taskUnHandoff:
-		dst, m := t.dst, t.m
-		n.putTask(t)
-		n.handlers[dst].DeliverUnordered(m)
-		n.releaseMessage(m)
+		n.seizeIn(dst, m, 1)
 	case taskSendOrd:
 		from, targets, size, payload := t.from, t.targets, t.size, t.payload
 		n.putTask(t)
@@ -249,10 +327,12 @@ func New(k *sim.Kernel, cfg Config) *Network {
 		full:             FullMask(cfg.Nodes),
 		lastSeqDelivered: make([]uint64, cfg.Nodes),
 		lastStamp:        make([]sim.Time, cfg.Nodes),
+		inbox:            make([]inbox, cfg.Nodes),
 	}
 	for i := range n.out {
 		n.out[i] = NewChannel(cfg.BandwidthMBs)
 		n.in[i] = NewChannel(cfg.BandwidthMBs)
+		n.inbox[i] = inbox{n: n, dst: NodeID(i)}
 	}
 	if cfg.JitterNs > 0 {
 		n.jitter = sim.NewRNG(cfg.JitterSeed ^ 0x6a09e667f3bcc908)
@@ -261,11 +341,13 @@ func New(k *sim.Kernel, cfg Config) *Network {
 }
 
 // Reset returns the interconnect to its freshly constructed state for a new
-// run: sequencer at zero, channels idle (with the new bandwidth), per-node
-// order/FIFO tracking cleared, counters zeroed, and the jitter generator
-// reseeded. The node count is structural and must match; handlers and the
-// channel objects themselves are retained, so registered receivers and
-// utilization samplers stay wired.
+// run: sequencer at zero, channels idle (with the new bandwidth), pending
+// handoffs dropped, per-node order/FIFO tracking cleared, counters zeroed,
+// and the jitter generator reseeded. It pairs with a Reset of the kernel,
+// which voids the seqs the dropped handoffs had reserved. The node count is
+// structural and must match; handlers and the channel objects themselves
+// are retained, so registered receivers and utilization samplers stay
+// wired.
 func (n *Network) Reset(cfg Config) {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes != n.cfg.Nodes {
@@ -276,6 +358,7 @@ func (n *Network) Reset(cfg Config) {
 	for i := range n.out {
 		n.out[i].Reset(cfg.BandwidthMBs)
 		n.in[i].Reset(cfg.BandwidthMBs)
+		n.inbox[i].reset()
 		n.lastSeqDelivered[i] = 0
 		n.lastStamp[i] = 0
 	}
@@ -344,8 +427,12 @@ func (n *Network) SendOrdered(from NodeID, targets Mask, size int, payload any) 
 	n.kernel.AtTask(start, st)
 }
 
-// stampAndFanOut assigns the global sequence number and schedules one
-// arrival per target.
+// stampAndFanOut assigns the global sequence number and schedules the
+// message's arrival at its targets' inbound channels: one event for the
+// whole fan-out. The per-target arrivals it replaces would all have fired
+// at that one instant with consecutive seqs, so nothing could ever fire
+// between them; seizing the channels in mask order inside one event is the
+// same order.
 func (n *Network) stampAndFanOut(from NodeID, targets Mask, size int, cost float64, payload any) {
 	n.seq++
 	m := n.getMessage()
@@ -356,16 +443,9 @@ func (n *Network) stampAndFanOut(from NodeID, targets Mask, size int, cost float
 	m.Broadcast = targets.Equal(n.full)
 	m.Payload = payload
 	m.remaining = int32(targets.Count())
-	arrive := n.kernel.Now() + n.cfg.Traversal
-	for wi, w := range targets.w {
-		for w != 0 {
-			dst := NodeID(wi*64 + bits.TrailingZeros64(w))
-			w &= w - 1
-			a := n.getTask()
-			a.kind, a.dst, a.m, a.cost = taskOrdArrive, dst, m, cost
-			n.kernel.AtTask(arrive, a)
-		}
-	}
+	a := n.getTask()
+	a.kind, a.m, a.cost = taskOrdArrive, m, cost
+	n.kernel.ScheduleTask(n.cfg.Traversal, a)
 }
 
 // SendOrderedDelayed is SendOrdered after delay simulated nanoseconds: the
