@@ -15,11 +15,10 @@ import (
 	"repro/internal/dist/wire"
 )
 
-// wireProtoName is the HTTP Upgrade token that negotiates the binary
-// transport on /dist/wire. The "/3" tracks wire.Version: a worker offering
-// a token the coordinator does not speak gets a plain HTTP refusal and
-// negotiates down to JSON — mixed builds degrade gracefully at the upgrade
-// instead of failing on a frame parse mid-sweep.
+// wireProtoName is the HTTP Upgrade token a worker offers on /dist/wire.
+// The "/3" tracks wire.Version: a worker offering a token the coordinator
+// does not speak gets a plain HTTP refusal and redials with backoff, so
+// mixed builds fail at the upgrade instead of on a frame parse mid-sweep.
 const wireProtoName = "bashsim-wire/3"
 
 // Parse bounds: generous multiples of anything the protocol produces, tight

@@ -261,6 +261,17 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	if _, err := parseAdvert(skewed); err == nil {
 		t.Error("advert with geometry-mismatched bit array parsed")
 	}
+	// The geometries a hostile advert might claim: bit array too short for
+	// M, no hash functions, an absurd hash count.
+	for i, req := range []advertRequest{
+		{Worker: "w", Gen: 1, Full: true, M: 128, K: 4, Bits: make([]byte, 3)},
+		{Worker: "w", Gen: 1, Full: true, M: 64, K: 0, Bits: make([]byte, 8)},
+		{Worker: "w", Gen: 1, Full: true, M: 64, K: 200, Bits: make([]byte, 8)},
+	} {
+		if _, err := parseAdvert(appendAdvert(nil, req)); err == nil {
+			t.Errorf("malformed advert geometry %d (M=%d K=%d, %d bytes) parsed", i, req.M, req.K, len(req.Bits))
+		}
+	}
 	// Booleans are strictly 0/1 on the wire.
 	bogus := appendString(nil, "w")
 	bogus = appendUvarint(bogus, 1)

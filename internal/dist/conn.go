@@ -1,15 +1,15 @@
 package dist
 
-// Coordinator side of the binary wire transport. A worker POSTs to
+// Coordinator side of the wire transport. A remote worker POSTs to
 // /dist/wire with an Upgrade header; the coordinator hijacks the
 // connection, answers 101 Switching Protocols, and from then on the
-// connection speaks wire frames: one HELLO (name + secret digest, checked
-// in constant time before any protocol state is touched), one WELCOME, and
-// then one request/reply frame pair per protocol action, multiplexed by
-// stream id across the worker's slots. The frame handlers call the same
-// leaseRPC/heartbeatRPC/resultRPC state machine as the HTTP/JSON
-// endpoints, so every batching, reassignment, and auth guarantee holds
-// identically on both transports.
+// connection speaks wire frames. The co-execution worker reaches
+// serveWireConn directly over an in-process pipe. Every session is one
+// HELLO (name + secret digest, checked in constant time before any
+// protocol state is touched), one WELCOME, and then one request/reply
+// frame pair per protocol action, multiplexed by stream id across the
+// worker's slots and served by the leaseRPC/heartbeatRPC/resultRPC state
+// machine.
 
 import (
 	"context"
@@ -112,8 +112,8 @@ func (wc *wireConn) status() WireConnStatus {
 // protocol and serves frames until the connection dies.
 func (c *Coordinator) handleWire(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Upgrade") != wireProtoName {
-		// An old worker (or a curious client) that does not speak the
-		// protocol gets a plain HTTP error it can fall back on.
+		// A client that does not speak the protocol gets a plain HTTP
+		// error describing the header it must send.
 		http.Error(w, "upgrade required: set Upgrade: "+wireProtoName, http.StatusUpgradeRequired)
 		return
 	}
@@ -137,11 +137,12 @@ func (c *Coordinator) handleWire(w http.ResponseWriter, r *http.Request) {
 	c.serveWireConn(conn, brw.Reader)
 }
 
-// serveWireConn runs one binary connection: handshake, then a
+// serveWireConn runs one wire connection: handshake, then a
 // read-dispatch-reply loop. Any protocol violation — malformed payload,
 // unexpected frame type — is terminal: the worker gets an ERROR frame and
-// the connection closes (fail closed, like the frame decoder itself).
-func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
+// the connection closes (fail closed, like the frame decoder itself). It
+// returns the finished session, or nil when the handshake failed.
+func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) *wireConn {
 	rd := wire.NewReader(r)
 	wr := wire.NewWriter(conn)
 	count := func(err error) error {
@@ -152,27 +153,27 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 	conn.SetReadDeadline(time.Now().Add(wireHandshakeTimeout))
 	h, payload, err := rd.ReadFrame()
 	if err != nil {
-		return
+		return nil
 	}
 	c.framesIn.Add(1)
 	if h.Type != wire.FrameHello {
 		count(wr.WriteFrame(wire.FrameError, 0, 0, []byte("dist: expected HELLO, got "+wire.TypeName(h.Type))))
-		return
+		return nil
 	}
 	worker, digest, peer, err := parseHello(payload)
 	if err != nil {
 		count(wr.WriteFrame(wire.FrameError, 0, 0, []byte(err.Error())))
-		return
+		return nil
 	}
 	if !c.digestOK(digest) {
-		// The terminal auth frame is what lets a binary worker exit with
-		// *dist.AuthError exactly like an HTTP 401 would make it.
+		// The terminal auth frame is what makes the worker exit with
+		// *dist.AuthError instead of redialing.
 		count(wr.WriteFrame(wire.FrameError, wire.FlagAuthFailed, 0,
 			[]byte("unauthorized: shared secret mismatch on HELLO")))
-		return
+		return nil
 	}
 	if err := count(wr.WriteFrame(wire.FrameWelcome, 0, 0, appendWelcome(nil))); err != nil {
-		return
+		return nil
 	}
 
 	wc := &wireConn{
@@ -197,7 +198,7 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 		conn.SetReadDeadline(time.Now().Add(idle))
 		h, payload, err := rd.ReadFrame()
 		if err != nil {
-			return
+			return wc
 		}
 		c.framesIn.Add(1)
 		switch h.Type {
@@ -207,7 +208,7 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 			req, err := parseAdvert(payload)
 			if err != nil {
 				count(wr.WriteFrame(wire.FrameError, 0, h.Stream, []byte(err.Error())))
-				return
+				return wc
 			}
 			c.advertRPC(req, int(h.Length))
 			continue
@@ -220,7 +221,7 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 			req, err := parseFetchRequest(payload)
 			if err != nil {
 				count(wr.WriteFrame(wire.FrameError, 0, h.Stream, []byte(err.Error())))
-				return
+				return wc
 			}
 			req.Worker = worker
 			// Served off the read loop: a fetch that relays to another
@@ -236,15 +237,15 @@ func (c *Coordinator) serveWireConn(conn net.Conn, r io.Reader) {
 			}(h.Stream, req)
 			continue
 		}
-		replyType, reply, err := c.dispatchFrame(h, payload)
+		replyType, reply, err := c.dispatchFrame(wc, h, payload)
 		if err != nil {
 			count(wr.WriteFrame(wire.FrameError, 0, h.Stream, []byte(err.Error())))
-			return
+			return wc
 		}
 		err = count(wr.WriteFrame(replyType, 0, h.Stream, *reply))
 		wire.PutBuffer(reply)
 		if err != nil {
-			return
+			return wc
 		}
 	}
 }
@@ -287,10 +288,10 @@ func (c *Coordinator) relayFetch(ctx context.Context, wc *wireConn, key string) 
 	}
 }
 
-// dispatchFrame decodes one request frame, runs the shared RPC state
-// machine, and encodes the reply into a pooled buffer (the caller writes
-// the frame and returns the buffer).
-func (c *Coordinator) dispatchFrame(h wire.Header, payload []byte) (byte, *[]byte, error) {
+// dispatchFrame decodes one request frame received on wc, runs the RPC
+// state machine, and encodes the reply into a pooled buffer (the caller
+// writes the frame and returns the buffer).
+func (c *Coordinator) dispatchFrame(wc *wireConn, h wire.Header, payload []byte) (byte, *[]byte, error) {
 	buf := wire.GetBuffer()
 	switch h.Type {
 	case wire.FrameLease:
@@ -299,7 +300,7 @@ func (c *Coordinator) dispatchFrame(h wire.Header, payload []byte) (byte, *[]byt
 			wire.PutBuffer(buf)
 			return 0, nil, err
 		}
-		*buf = appendGrant(*buf, c.leaseRPC(req))
+		*buf = appendGrant(*buf, c.leaseRPC(wc, req))
 		return wire.FrameGrant, buf, nil
 	case wire.FrameHeartbeat:
 		req, err := parseHeartbeatRequest(payload)
@@ -316,7 +317,7 @@ func (c *Coordinator) dispatchFrame(h wire.Header, payload []byte) (byte, *[]byt
 			return 0, nil, err
 		}
 		// resultResponse and leaseResponse are the same grant shape.
-		*buf = appendGrant(*buf, leaseResponse(c.resultRPC(req)))
+		*buf = appendGrant(*buf, leaseResponse(c.resultRPC(wc, req)))
 		return wire.FrameResultAck, buf, nil
 	case wire.FrameSubmit:
 		req, err := parseSubmit(payload)

@@ -38,25 +38,22 @@ type CoordinatorOptions struct {
 	// sweep rebalances across the fleet instead of piling onto one
 	// straggler.
 	LeaseBatch int
-	// Secret, when non-empty, is the shared secret every request must
-	// carry in the X-Bashsim-Secret header (compared in constant time).
-	// Requests without it are rejected with 401 and never touch the queue.
+	// Secret, when non-empty, is the shared secret every worker's HELLO
+	// frame must carry the SHA-256 digest of, and every GET /dist/status
+	// must carry in the X-Bashsim-Secret header (both compared in constant
+	// time). Connections and requests without it are rejected and never
+	// touch the queue.
 	Secret string
-	// CoExecute, when positive, runs that many in-process loopback worker
-	// slots for the duration of every Run: the coordinator leases jobs to
-	// itself through the same protocol path (auth included) whenever it
-	// has idle cores, so a lone coordinator still makes progress with no
+	// CoExecute, when positive, runs that many in-process worker slots for
+	// the duration of every Run: the coordinator leases jobs to itself
+	// over the same framed session remote workers use (auth included,
+	// carried on an in-process pipe instead of a socket) whenever it has
+	// idle cores, so a lone coordinator still makes progress with no
 	// external workers at all. The process must have the jobs' executors
 	// registered (e.g. experiments.RegisterCellExecutor), exactly like a
 	// worker process; kinds with no registered executor are never leased
-	// to the loopback worker.
+	// to the in-process worker.
 	CoExecute int
-	// Wire selects the transports served. "" (or "binary"/"auto") serves
-	// both the binary framed protocol (workers upgrade via POST
-	// /dist/wire) and the HTTP/JSON fallback; "http" disables the binary
-	// upgrade so every worker negotiates down to JSON. /dist/status is
-	// always plain HTTP either way.
-	Wire string
 	// CacheDir, when non-empty, opens the coordinator's own cell store
 	// there. Fetches are served from it before any relay is attempted, and
 	// relayed entries are written through to it, so one warm coordinator
@@ -104,6 +101,7 @@ type trackedJob struct {
 	keyHash  uint64 // ring position of job.Key, computed once at enqueue
 	state    jobState
 	worker   string    // current (or last) lease holder
+	session  *wireConn // connection the current lease was granted on
 	deadline time.Time // lease expiry when leased
 	expiries int       // expired-lease count
 }
@@ -152,7 +150,7 @@ func (b *batch) notifyProgress(done int) {
 // across one worker fleet at once.
 type Coordinator struct {
 	opt     CoordinatorOptions
-	handler http.Handler // built once: HTTP servers and the loopback share it
+	handler http.Handler // built once: status plus the wire upgrade
 	exch    *exchange    // peer cell exchange: indicator table + fetch routing
 
 	mu       sync.Mutex
@@ -178,8 +176,8 @@ type Coordinator struct {
 	submitMu sync.Mutex
 	submit   func(SubmitRequest) SubmitResponse
 
-	// coMu guards the refcounted loopback worker: concurrent Runs share one
-	// in-process worker rather than stacking CoExecute slots per sweep.
+	// coMu guards the refcounted in-process worker: concurrent Runs share
+	// one rather than stacking CoExecute slots per sweep.
 	coMu     sync.Mutex
 	coRuns   int
 	coCancel context.CancelFunc
@@ -213,43 +211,31 @@ func NewCoordinator(opt CoordinatorOptions) *Coordinator {
 		peerAddrs: map[string]string{},
 		wireConns: map[*wireConn]struct{}{},
 	}
+	// The upgrade endpoint mounts outside the shared-secret middleware:
+	// its authentication is in-band (the HELLO frame carries the secret
+	// digest, checked in constant time before any protocol state is
+	// touched), and hijacked connections cannot use HTTP status codes.
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /dist/lease", c.handleLease)
-	mux.HandleFunc("POST /dist/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("POST /dist/result", c.handleResult)
-	mux.HandleFunc("POST /dist/advert", c.handleAdvert)
-	mux.HandleFunc("POST /dist/fetch", c.handleFetch)
-	mux.HandleFunc("POST /dist/submit", c.handleSubmit)
-	mux.HandleFunc("GET /dist/status", c.handleStatus)
-	c.handler = c.authenticate(mux)
-	if opt.Wire != "http" {
-		// The binary upgrade endpoint mounts outside the shared-secret
-		// middleware: its authentication is in-band (the HELLO frame
-		// carries the secret digest, checked in constant time before any
-		// protocol state is touched), and hijacked connections cannot use
-		// HTTP status codes anyway.
-		outer := http.NewServeMux()
-		outer.HandleFunc("POST /dist/wire", c.handleWire)
-		outer.Handle("/", c.handler)
-		c.handler = outer
-	}
+	mux.HandleFunc("POST /dist/wire", c.handleWire)
+	mux.Handle("GET /dist/status", c.authenticate(http.HandlerFunc(c.handleStatus)))
+	c.handler = mux
 	return c
 }
 
-// Handler returns the HTTP handler serving the job protocol; mount it on
-// any server (the bashsim CLI serves it via Serve, tests use httptest).
-// When Options.Secret is set, every request — status included — must carry
-// it in the X-Bashsim-Secret header or is rejected with 401; the binary
-// upgrade at POST /dist/wire instead authenticates in-band via its HELLO
-// frame. Mounting on a server that does not go through Serve works, but
-// leaves the socket-level byte counters at zero.
+// Handler returns the coordinator's HTTP handler: GET /dist/status and the
+// POST /dist/wire upgrade that turns a connection into the framed job
+// protocol. Mount it on any server (the bashsim CLI serves it via Serve,
+// tests use httptest). When Options.Secret is set, status requests must
+// carry it in the X-Bashsim-Secret header or are rejected with 401; the
+// upgrade instead authenticates in-band via its HELLO frame. Mounting on a
+// server that does not go through Serve works, but leaves the socket-level
+// byte counters at zero.
 func (c *Coordinator) Handler() http.Handler { return c.handler }
 
-// Serve accepts connections on l and serves the protocol — HTTP/JSON and,
-// unless Wire == "http", the binary framed upgrade — until l closes. Every
+// Serve accepts connections on l and serves Handler until l closes. Every
 // connection is wrapped in a byte counter feeding Stats.BytesIn/BytesOut,
-// so HTTP header overhead and binary frames are measured at the same place:
-// the socket.
+// so HTTP status requests and upgraded frame streams are measured at the
+// same place: the socket.
 func (c *Coordinator) Serve(l net.Listener) error {
 	return c.ServeHandler(l, c.handler)
 }
@@ -265,8 +251,8 @@ func (c *Coordinator) ServeHandler(l net.Listener, h http.Handler) error {
 }
 
 // countingListener wraps accepted connections in socket-level byte
-// counters. Hijacked (binary) connections keep the wrapper, so the counters
-// see both transports uniformly.
+// counters. Hijacked (upgraded) connections keep the wrapper, so the
+// counters see their frames too.
 type countingListener struct {
 	net.Listener
 	c *Coordinator
@@ -297,7 +283,7 @@ func (cc countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// authenticate wraps the protocol mux in the shared-secret check. Secrets
+// authenticate wraps the status handler in the shared-secret check. Secrets
 // are compared in constant time over their SHA-256 digests, so neither
 // length nor prefix of the configured secret leaks through timing.
 func (c *Coordinator) authenticate(next http.Handler) http.Handler {
@@ -388,7 +374,7 @@ func (c *Coordinator) registerWorkerLocked(name, peer string, now time.Time) {
 // runner.Map: the lowest-indexed failed job wins, worker panics surface as
 // *runner.PanicError with the job's label and remote stack, and on
 // cancellation the partial results are still returned. With
-// Options.CoExecute > 0, loopback worker slots run in-process for the
+// Options.CoExecute > 0, worker slots run in-process for the
 // duration of the call, so the batch drains even with no external workers.
 // Concurrent Runs are safe: each gets its own batch, their jobs interleave
 // in the shared queue, and the fleet drains them together.
@@ -477,14 +463,15 @@ wait:
 	return b.results, nil
 }
 
-// acquireCoExecution refcounts the in-process loopback worker (a no-op
-// closure when CoExecute is 0 or no executors are registered): the first
-// active Run starts it, the last one's release cancels it, and concurrent
-// Runs in between share it — a sweep service with N queued sweeps runs
-// CoExecute loopback slots total, not N stacks of them. The loopback worker
-// speaks the full wire protocol against the coordinator's own handler —
-// auth, batched leases, heartbeats, streamed results — so every hardening
-// test that covers external workers covers it too.
+// acquireCoExecution refcounts the in-process worker (a no-op closure when
+// CoExecute is 0 or no executors are registered): the first active Run
+// starts it, the last one's release cancels it, and concurrent Runs in
+// between share it — a sweep service with N queued sweeps runs CoExecute
+// in-process slots total, not N stacks of them. The worker's session runs
+// over a net.Pipe into serveWireConn, skipping only the TCP dial and HTTP
+// upgrade: HELLO with the secret digest, batched leases, heartbeats,
+// streamed results and refills take the path remote workers take, so every
+// hardening test that covers external workers covers it too.
 func (c *Coordinator) acquireCoExecution() (release func()) {
 	if c.opt.CoExecute <= 0 || len(runner.Kinds()) == 0 {
 		return func() {}
@@ -498,12 +485,12 @@ func (c *Coordinator) acquireCoExecution() (release func()) {
 			// Errors other than cancellation (e.g. a future kindless start)
 			// only disable co-execution; external workers still drain the run.
 			RunWorker(loopCtx, WorkerOptions{
-				Coordinator: "http://loopback",
+				Coordinator: "http://in-process",
 				Name:        "coordinator",
 				Slots:       c.opt.CoExecute,
 				Secret:      c.opt.Secret,
 				Poll:        50 * time.Millisecond,
-				Client:      &http.Client{Transport: loopbackTransport{h: c.handler}},
+				dialWire:    c.dialInProcess,
 			})
 		}()
 	}
@@ -511,9 +498,10 @@ func (c *Coordinator) acquireCoExecution() (release func()) {
 	// Cancel without joining: executors are synchronous simulations, so a
 	// slot mid-job cannot be interrupted — waiting for it would hold a
 	// canceled (or even a completed) Run hostage for up to one full cell.
-	// Canceled slots stop heartbeating at once (their leases expire and
-	// reassign), finish the cell they are on, post nothing, and exit; a
-	// straggler's late duplicate is dropped like any other.
+	// Canceled slots stop heartbeating at once, finish the cell they are
+	// on, post nothing, and exit; their session then ends and its leases
+	// are reclaimed at once (reclaimSession). A straggler's late duplicate
+	// is dropped like any other.
 	return func() {
 		c.coMu.Lock()
 		c.coRuns--
@@ -523,6 +511,41 @@ func (c *Coordinator) acquireCoExecution() (release func()) {
 		}
 		c.coMu.Unlock()
 	}
+}
+
+// dialInProcess opens a wire session to c over a net.Pipe: the
+// co-execution worker's dial, which skips only TCP and the HTTP upgrade.
+// When the session ends, the jobs still leased on it are reclaimed.
+func (c *Coordinator) dialInProcess() (net.Conn, error) {
+	a, b := net.Pipe()
+	go func() {
+		if wc := c.serveWireConn(a, a); wc != nil {
+			c.reclaimSession(wc)
+		}
+		a.Close()
+	}()
+	return b, nil
+}
+
+// reclaimSession expires every job still leased on wc at once. The
+// in-process worker's session ends only when that worker stops — released
+// by the last Run, it may already have leased the next Run's jobs — so its
+// unfinished leases go back to the queue now instead of waiting out the
+// TTL. They go through reclaimExpiredLocked, so each counts against the
+// job's expiry budget: a job whose result always ends the session fails
+// after maxExpiries instead of looping. Remote sessions are not reclaimed:
+// a worker whose connection drops keeps executing and posts its results
+// after it redials.
+func (c *Coordinator) reclaimSession(wc *wireConn) {
+	c.mu.Lock()
+	for _, tj := range c.leased {
+		if tj.session == wc {
+			tj.deadline = time.Time{}
+		}
+	}
+	notes := c.reclaimExpiredLocked(time.Now())
+	c.mu.Unlock()
+	notes.notify()
 }
 
 // Drain puts the coordinator in drain mode and waits for every leased job
@@ -683,7 +706,7 @@ func (c *Coordinator) finishLocked(b *batch, tj *trackedJob, result []byte, err 
 // anything else to fill the batch. Placement preference never starves a
 // worker: an owner that is slow or gone just sees its jobs taken in some
 // other worker's second pass.
-func (c *Coordinator) grantLocked(now time.Time, worker string, kinds map[string]bool, max int) []*trackedJob {
+func (c *Coordinator) grantLocked(now time.Time, worker string, session *wireConn, kinds map[string]bool, max int) []*trackedJob {
 	if c.draining {
 		return nil // drain mode: let held leases finish, hand out nothing new
 	}
@@ -704,11 +727,10 @@ func (c *Coordinator) grantLocked(now time.Time, worker string, kinds map[string
 		grants = c.scanSegmentLocked(now, worker, kinds, max, grants, lo, &hi, false)
 		lo = hi
 	}
-	if c.placement.size() > 0 {
-		for _, tj := range grants {
-			if c.placement.ownerHash(tj.keyHash) == worker {
-				c.ringOwnerGrants.Add(1)
-			}
+	for _, tj := range grants {
+		tj.session = session
+		if c.placement.size() > 0 && c.placement.ownerHash(tj.keyHash) == worker {
+			c.ringOwnerGrants.Add(1)
 		}
 	}
 	c.dispatched.Add(uint64(len(grants)))
@@ -800,17 +822,16 @@ func leasedJobs(grants []*trackedJob) []leasedJob {
 	return jobs
 }
 
-// leaseRPC is the transport-independent lease handler: the JSON endpoint
-// and the binary LEASE frame both land here. An empty Jobs slice means "no
-// work right now" (HTTP surfaces it as 204, the wire as an empty GRANT).
-func (c *Coordinator) leaseRPC(req leaseRequest) leaseResponse {
+// leaseRPC serves one LEASE frame received on wc. An empty Jobs slice
+// means "no work right now" (an empty GRANT on the wire).
+func (c *Coordinator) leaseRPC(wc *wireConn, req leaseRequest) leaseResponse {
 	kinds := kindSet(req.Kinds)
 	now := time.Now()
 
 	c.mu.Lock()
 	c.registerWorkerLocked(req.Worker, req.Peer, now)
 	notes := c.reclaimExpiredLocked(now)
-	grants := c.grantLocked(now, req.Worker, kinds, c.leaseSizeLocked(now, req.Max))
+	grants := c.grantLocked(now, req.Worker, wc, kinds, c.leaseSizeLocked(now, req.Max))
 	pdone, ptotal := c.progressLocked()
 	c.mu.Unlock()
 	notes.notify()
@@ -826,7 +847,7 @@ func (c *Coordinator) leaseRPC(req leaseRequest) leaseResponse {
 	return resp
 }
 
-// heartbeatRPC extends the worker's named leases (shared by transports).
+// heartbeatRPC extends the worker's named leases.
 func (c *Coordinator) heartbeatRPC(req heartbeatRequest) heartbeatResponse {
 	now := time.Now()
 	c.mu.Lock()
@@ -842,9 +863,9 @@ func (c *Coordinator) heartbeatRPC(req heartbeatRequest) heartbeatResponse {
 	return resp
 }
 
-// resultRPC records one job's outcome and serves any requested refill
-// (shared by transports).
-func (c *Coordinator) resultRPC(req resultRequest) resultResponse {
+// resultRPC records one job's outcome, received on wc, and serves any
+// requested refill.
+func (c *Coordinator) resultRPC(wc *wireConn, req resultRequest) resultResponse {
 	// Fold the worker's fetch-path delta counters into the exchange totals
 	// (direct fetches and peer puts never touch the coordinator's socket,
 	// so this is the only place it learns about them).
@@ -886,7 +907,7 @@ func (c *Coordinator) resultRPC(req resultRequest) resultResponse {
 	if req.Refill > 0 {
 		// leaseSizeLocked caps at req.Refill (the reqMax bound), so the
 		// grant never exceeds what the worker asked to absorb.
-		grants = c.grantLocked(now, req.Worker, kindSet(req.Kinds), c.leaseSizeLocked(now, req.Refill))
+		grants = c.grantLocked(now, req.Worker, wc, kindSet(req.Kinds), c.leaseSizeLocked(now, req.Refill))
 	}
 	pdone, ptotal := c.progressLocked()
 	c.mu.Unlock()
@@ -903,62 +924,6 @@ func (c *Coordinator) resultRPC(req resultRequest) resultResponse {
 		resp.LeaseMillis = c.opt.leaseTTL().Milliseconds()
 	}
 	return resp
-}
-
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp := c.leaseRPC(req)
-	if len(resp.Jobs) == 0 {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req heartbeatRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	writeJSON(w, c.heartbeatRPC(req))
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	var req resultRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	writeJSON(w, c.resultRPC(req))
-}
-
-func (c *Coordinator) handleAdvert(w http.ResponseWriter, r *http.Request) {
-	var req advertRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if int64(len(req.Bits)) > maxFilterBytes || req.M > maxFilterBytes*8 ||
-		req.K < 1 || req.K > maxFilterHashes || len(req.Bits) != int(req.M+7)/8 {
-		http.Error(w, "bad request: malformed indicator geometry", http.StatusBadRequest)
-		return
-	}
-	// Budget accounting charges the HTTP body size (headers are fallback
-	// overhead the binary transport doesn't pay).
-	wireBytes := int(r.ContentLength)
-	if wireBytes < 0 {
-		wireBytes = len(req.Bits)
-	}
-	writeJSON(w, c.advertRPC(req, wireBytes))
-}
-
-func (c *Coordinator) handleFetch(w http.ResponseWriter, r *http.Request) {
-	var req fetchRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	writeJSON(w, c.fetchRPC(r.Context(), req))
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -1086,18 +1051,6 @@ func (c *Coordinator) WriteStatus(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(c.statusSnapshot())
-}
-
-// maxBody bounds request bodies; specs are small (a cell config is well
-// under a kilobyte) but results may carry full reports.
-const maxBody = 64 << 20
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

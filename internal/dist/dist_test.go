@@ -1,7 +1,7 @@
 package dist_test
 
 // End-to-end distributed-sweep tests: an in-process coordinator with real
-// HTTP workers runs actual experiment sweeps and must reproduce the
+// wire workers runs actual experiment sweeps and must reproduce the
 // goroutine backend byte for byte — including after a worker dies mid-sweep
 // and after an interrupted run resumes from the shared cell store.
 
@@ -35,25 +35,39 @@ func tsvOf(t *testing.T, id string, o experiments.Options) string {
 	return b.String()
 }
 
+// startWorker runs a worker until the returned cancel (or the end of the
+// test). Cleanup also waits for RunWorker to return, so no worker goroutine
+// still writes into the test's temp dirs while they are removed.
+func startWorker(t *testing.T, o dist.WorkerOptions) (cancel context.CancelFunc) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		dist.RunWorker(ctx, o)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	return cancel
+}
+
 // cluster starts a coordinator and n workers sharing one cell store.
-func cluster(t *testing.T, cacheDir string, workers int, ttl time.Duration) (*dist.Coordinator, context.CancelFunc) {
+func cluster(t *testing.T, cacheDir string, workers int, ttl time.Duration) *dist.Coordinator {
 	t.Helper()
 	experiments.RegisterCellExecutor(experiments.Options{CacheDir: cacheDir})
 	coord := dist.NewCoordinator(dist.CoordinatorOptions{LeaseTTL: ttl})
 	srv := httptest.NewServer(coord.Handler())
-	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(srv.Close)
 	for i := 0; i < workers; i++ {
-		go dist.RunWorker(ctx, dist.WorkerOptions{
+		startWorker(t, dist.WorkerOptions{
 			Coordinator: srv.URL,
 			Name:        fmt.Sprintf("worker-%d", i),
 			Poll:        10 * time.Millisecond,
 		})
 	}
-	t.Cleanup(func() {
-		cancel()
-		srv.Close()
-	})
-	return coord, cancel
+	return coord
 }
 
 // TestDistSweepByteIdentical: a sweep dispatched to two worker processes
@@ -67,7 +81,7 @@ func TestDistSweepByteIdentical(t *testing.T) {
 	want := tsvOf(t, "fig1", experiments.Options{})
 
 	cache := t.TempDir()
-	coord, _ := cluster(t, cache, 2, 2*time.Second)
+	coord := cluster(t, cache, 2, 2*time.Second)
 	experiments.ResetMemo()
 	got := tsvOf(t, "fig1", experiments.Options{Backend: coord, CacheDir: cache})
 	if got != want {
@@ -101,7 +115,7 @@ func TestDistSweepRecycledMatchesNoRecycle(t *testing.T) {
 	want := tsvOf(t, "fig1", experiments.Options{NoRecycle: true, NoReuse: true})
 
 	cache := t.TempDir()
-	coord, _ := cluster(t, cache, 2, 2*time.Second)
+	coord := cluster(t, cache, 2, 2*time.Second)
 	experiments.ResetMemo()
 	got := tsvOf(t, "fig1", experiments.Options{Backend: coord, CacheDir: cache})
 	if got != want {
@@ -135,15 +149,12 @@ func TestDistSweepHardenedByteIdentical(t *testing.T) {
 	})
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(srv.Close)
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
 	for i := 0; i < 2; i++ {
-		go dist.RunWorker(ctx, dist.WorkerOptions{
+		startWorker(t, dist.WorkerOptions{
 			Coordinator: srv.URL,
 			Name:        fmt.Sprintf("worker-%d", i),
 			Poll:        10 * time.Millisecond,
 			Secret:      "hardened-sweep",
-			Wire:        "binary",
 		})
 	}
 
@@ -183,7 +194,7 @@ func TestDistResumeAfterInterruption(t *testing.T) {
 	want := tsvOf(t, "fig1", experiments.Options{})
 
 	cache := t.TempDir()
-	coord, _ := cluster(t, cache, 2, 2*time.Second)
+	coord := cluster(t, cache, 2, 2*time.Second)
 	st := cellstore.For(cache)
 
 	// Phase 1: cancel the sweep once a handful of cells completed.
@@ -252,12 +263,8 @@ func TestDistWorkerKilledMidSweep(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(srv.Close)
 
-	victimCtx, killVictim := context.WithCancel(context.Background())
-	survivorCtx, stopSurvivor := context.WithCancel(context.Background())
-	t.Cleanup(stopSurvivor)
-	t.Cleanup(killVictim)
-	go dist.RunWorker(victimCtx, dist.WorkerOptions{Coordinator: srv.URL, Name: "victim", Poll: 10 * time.Millisecond})
-	go dist.RunWorker(survivorCtx, dist.WorkerOptions{Coordinator: srv.URL, Name: "survivor", Poll: 10 * time.Millisecond})
+	killVictim := startWorker(t, dist.WorkerOptions{Coordinator: srv.URL, Name: "victim", Poll: 10 * time.Millisecond})
+	startWorker(t, dist.WorkerOptions{Coordinator: srv.URL, Name: "survivor", Poll: 10 * time.Millisecond})
 
 	experiments.ResetMemo()
 	got := tsvOf(t, "fig1", experiments.Options{

@@ -1,7 +1,7 @@
 package dist
 
 // Coordinator side of the peer cell exchange: the per-worker indicator
-// table fed by ADVERT frames (or POST /dist/advert), the likely-holder
+// table fed by ADVERT frames, the likely-holder
 // hints piggybacked on grants, and the FETCH routing that serves raw cell
 // entries from the coordinator's own store or relays the request down an
 // advertised holder's live wire connection. Everything here is advisory
@@ -50,15 +50,14 @@ func newExchange(cacheDir string) *exchange {
 	return &exchange{store: cellstore.For(cacheDir), table: map[string]*indicatorEntry{}}
 }
 
-// noteAdvert applies one advertisement. wireBytes is the on-wire payload
-// size (post-compression for binary frames), which is what the
+// noteAdvert applies one advertisement and reports whether it applied.
+// wireBytes is the on-wire frame payload size, which is what the
 // advert-budget accounting reports. A delta applies only when the worker's
 // previous filter has the same geometry and the generation is exactly the
-// successor; anything else asks for a full resend — on the binary
-// transport that cannot happen (frames on one connection are ordered and
-// every new connection opens with a full send), on HTTP it recovers from
-// lost requests and coordinator restarts.
-func (x *exchange) noteAdvert(req advertRequest, wireBytes int) advertResponse {
+// successor; anything else is dropped until the next full send. On the
+// wire that cannot happen: frames on one connection are ordered and every
+// new connection opens with a full send.
+func (x *exchange) noteAdvert(req advertRequest, wireBytes int) bool {
 	x.adverts.Add(1)
 	x.advertBytes.Add(uint64(wireBytes))
 	f := &cellFilter{m: req.M, k: req.K, bits: req.Bits}
@@ -66,16 +65,16 @@ func (x *exchange) noteAdvert(req advertRequest, wireBytes int) advertResponse {
 	defer x.mu.Unlock()
 	if req.Full {
 		x.table[req.Worker] = &indicatorEntry{filter: f.clone(), gen: req.Gen, when: time.Now()}
-		return advertResponse{}
+		return true
 	}
 	prev := x.table[req.Worker]
 	if prev == nil || req.Gen != prev.gen+1 || !prev.filter.sameShape(f) {
-		return advertResponse{NeedFull: true}
+		return false
 	}
 	prev.filter.applyDelta(req.Bits)
 	prev.gen = req.Gen
 	prev.when = time.Now()
-	return advertResponse{}
+	return true
 }
 
 // holders lists workers (excluding the requester) whose fresh indicators
@@ -136,14 +135,13 @@ func (x *exchange) likelyHeld(requester, key string, window time.Duration, now t
 	return false
 }
 
-// advertRPC records one worker's advertisement (transport-independent; the
-// JSON endpoint and the binary ADVERT frame both land here). Adverts count
-// as worker contact, like every other protocol action.
-func (c *Coordinator) advertRPC(req advertRequest, wireBytes int) advertResponse {
+// advertRPC records one ADVERT frame. Adverts count as worker contact,
+// like every other protocol action.
+func (c *Coordinator) advertRPC(req advertRequest, wireBytes int) {
 	c.mu.Lock()
 	c.registerWorkerLocked(req.Worker, "", time.Now())
 	c.mu.Unlock()
-	return c.exch.noteAdvert(req, wireBytes)
+	c.exch.noteAdvert(req, wireBytes)
 }
 
 // maxGrantAddrs caps how many holder and owner peer addresses ride on one
@@ -248,9 +246,9 @@ func (c *Coordinator) fetchRPC(ctx context.Context, req fetchRequest) fetchRespo
 	return fetchResponse{}
 }
 
-// wireConnFor returns some live binary connection belonging to worker (nil
-// when the worker is not currently wire-connected — its HTTP fallback or a
-// reconnect gap; the fetch then tries the next holder).
+// wireConnFor returns some live wire connection belonging to worker (nil
+// when the worker is not currently connected — a reconnect gap; the fetch
+// then tries the next holder).
 func (c *Coordinator) wireConnFor(worker string) *wireConn {
 	c.wireMu.Lock()
 	defer c.wireMu.Unlock()

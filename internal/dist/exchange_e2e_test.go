@@ -7,10 +7,6 @@ package dist_test
 // asserted with the sweep TSV byte-identical to the serial run.
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -53,23 +49,21 @@ func TestDistColdWorkerFetchesEverything(t *testing.T) {
 	coord := dist.NewCoordinator(dist.CoordinatorOptions{LeaseTTL: 2 * time.Second})
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(srv.Close)
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
 
 	// The warm worker only holds and serves: its kind list matches no job,
 	// so it advertises its store and answers relayed fetches, nothing else.
-	go dist.RunWorker(ctx, dist.WorkerOptions{
+	startWorker(t, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "warm", Poll: 50 * time.Millisecond,
-		Wire: "binary", CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
+		CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
 		Kinds: []string{"exchange.holder-only"},
 	})
 	waitForAdverts(t, coord, 1)
 
 	// The cold worker registers the process-global key fetcher last, so the
 	// executor's fetch path is its transport.
-	go dist.RunWorker(ctx, dist.WorkerOptions{
+	startWorker(t, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "cold", Poll: 10 * time.Millisecond,
-		Wire: "binary", CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
+		CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
 	})
 
 	experiments.ResetMemo()
@@ -115,32 +109,21 @@ func TestDistFalsePositiveFallsBackToSimulation(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(srv.Close)
 
-	// Phantom advert: 64 set bits claim every possible key. No connection
-	// backs the name, so routing finds no holder and every fetch misses.
+	// Phantom advert: 64 set bits claim every possible key. Its session
+	// closes at once, so no connection backs the name, routing finds no
+	// holder, and every fetch misses.
 	ones := make([]byte, 8)
 	for i := range ones {
 		ones[i] = 0xFF
 	}
-	body, err := json.Marshal(map[string]any{
-		"worker": "phantom", "gen": 1, "full": true, "m": 64, "k": 2, "bits": ones,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if err := dist.SendAdvert(srv.URL, "phantom", 64, 2, ones); err != nil {
+		t.Fatalf("phantom advert: %v", err)
 	}
-	resp, err := http.Post(srv.URL+"/dist/advert", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("phantom advert: status %d", resp.StatusCode)
-	}
+	waitForAdverts(t, coord, 1)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go dist.RunWorker(ctx, dist.WorkerOptions{
+	startWorker(t, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "duped", Poll: 10 * time.Millisecond,
-		Wire: "binary", CacheDir: cold,
+		CacheDir: cold,
 	})
 
 	experiments.ResetMemo()

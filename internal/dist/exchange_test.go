@@ -8,8 +8,10 @@ package dist
 // verification is exactly the envelope check these produce.
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,10 +100,10 @@ func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 	f := buildFilter([]string{"k1", "k2"}, defaultBitsPerKey)
 
 	// A delta with no prior full must be refused.
-	if resp := x.noteAdvert(advertRequest{Worker: "w", Gen: 1, M: f.m, K: f.k, Bits: f.bits}, 10); !resp.NeedFull {
+	if x.noteAdvert(advertRequest{Worker: "w", Gen: 1, M: f.m, K: f.k, Bits: f.bits}, 10) {
 		t.Fatal("delta without a prior full filter was accepted")
 	}
-	if resp := x.noteAdvert(advertRequest{Worker: "w", Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 10); resp.NeedFull {
+	if !x.noteAdvert(advertRequest{Worker: "w", Gen: 1, Full: true, M: f.m, K: f.k, Bits: f.bits}, 10) {
 		t.Fatal("full advert refused")
 	}
 	window, now := time.Minute, time.Now()
@@ -115,15 +117,15 @@ func TestNoteAdvertFullDeltaAndGaps(t *testing.T) {
 	// A gen-successor, same-shape delta applies.
 	grown := f.clone()
 	grown.add("k3")
-	if resp := x.noteAdvert(advertRequest{Worker: "w", Gen: 2, M: f.m, K: f.k, Bits: grown.xor(f)}, 10); resp.NeedFull {
+	if !x.noteAdvert(advertRequest{Worker: "w", Gen: 2, M: f.m, K: f.k, Bits: grown.xor(f)}, 10) {
 		t.Fatal("successor delta refused")
 	}
 	if !x.likelyHeld("other", "k3", window, now) {
 		t.Fatal("delta-advertised key not reported held")
 	}
 
-	// A generation gap (lost advert) must demand a full resend.
-	if resp := x.noteAdvert(advertRequest{Worker: "w", Gen: 4, M: f.m, K: f.k, Bits: grown.bits}, 10); !resp.NeedFull {
+	// A generation gap (lost advert) must wait for a full resend.
+	if x.noteAdvert(advertRequest{Worker: "w", Gen: 4, M: f.m, K: f.k, Bits: grown.bits}, 10) {
 		t.Fatal("generation gap accepted as a delta")
 	}
 
@@ -191,9 +193,10 @@ func TestFetchServedFromCoordinatorStore(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	var resp fetchResponse
-	if st := postJSON(t, srv.URL+"/dist/fetch", fetchRequest{Worker: "cold", Key: "held-key"}, &resp); st != 200 {
-		t.Fatalf("fetch: HTTP %d", st)
+	cold := dialAs(t, srv.URL, "cold")
+	resp, err := cold.Fetch(context.Background(), fetchRequest{Key: "held-key"})
+	if err != nil {
+		t.Fatalf("fetch: %v", err)
 	}
 	if !resp.Found {
 		t.Fatal("coordinator store did not serve the fetch")
@@ -214,8 +217,8 @@ func TestFetchServedFromCoordinatorStore(t *testing.T) {
 	}
 
 	// A miss for an unheld key counts as a false positive.
-	if st := postJSON(t, srv.URL+"/dist/fetch", fetchRequest{Worker: "cold", Key: "nobody-has-this"}, &resp); st != 200 || resp.Found {
-		t.Fatalf("fetch of absent key: HTTP %d, found %v", st, resp.Found)
+	if resp, err := cold.Fetch(context.Background(), fetchRequest{Key: "nobody-has-this"}); err != nil || resp.Found {
+		t.Fatalf("fetch of absent key: %+v, %v", resp, err)
 	}
 	st := coord.Stats()
 	if st.Fetches != 2 || st.FetchServed != 1 || st.FetchFalsePos != 1 {
@@ -238,7 +241,7 @@ func TestFetchRelayedThroughHolder(t *testing.T) {
 	// advertises its store, and serves relays.
 	go RunWorker(ctx, WorkerOptions{
 		Coordinator: url, Name: "holder", Poll: 5 * time.Millisecond,
-		Kinds: []string{"holder.no-jobs"}, Wire: "binary",
+		Kinds:    []string{"holder.no-jobs"},
 		CacheDir: dir, AdvertInterval: 10 * time.Millisecond,
 	})
 
@@ -250,9 +253,9 @@ func TestFetchRelayedThroughHolder(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	var resp fetchResponse
-	if st := postJSON(t, url+"/dist/fetch", fetchRequest{Worker: "cold", Key: "relayed-key"}, &resp); st != 200 {
-		t.Fatalf("fetch: HTTP %d", st)
+	resp, err := dialAs(t, url, "cold").Fetch(context.Background(), fetchRequest{Key: "relayed-key"})
+	if err != nil {
+		t.Fatalf("fetch: %v", err)
 	}
 	if !resp.Found {
 		t.Fatal("fetch was not relayed to the advertised holder")
@@ -278,32 +281,36 @@ func TestFetchFalsePositiveFallsThrough(t *testing.T) {
 	defer cancel()
 	go RunWorker(ctx, WorkerOptions{
 		Coordinator: url, Name: "braggart", Poll: 5 * time.Millisecond,
-		Kinds: []string{"holder.no-jobs"}, Wire: "binary",
+		Kinds:    []string{"holder.no-jobs"},
 		CacheDir: emptyDir, AdvertInterval: 10 * time.Millisecond,
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for coord.Workers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never connected")
+	awaitAdverts := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for coord.Stats().Adverts < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("coordinator absorbed %d adverts, want >= %d", coord.Stats().Adverts, n)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	awaitAdverts(1)
 
 	// Overwrite the worker's honest (empty) indicator with an all-claiming
-	// one via the JSON endpoint — a phantom advertisement.
+	// one sent on a second session under its name — a phantom
+	// advertisement. ADVERT has no reply, so wait until it is absorbed.
 	f := buildFilter([]string{"x"}, defaultBitsPerKey)
 	for i := range f.bits {
 		f.bits[i] = 0xFF
 	}
-	var aresp advertResponse
-	if st := postJSON(t, url+"/dist/advert",
-		advertRequest{Worker: "braggart", Gen: 99, Full: true, M: f.m, K: f.k, Bits: f.bits}, &aresp); st != 200 {
-		t.Fatalf("advert: HTTP %d", st)
+	if _, err := dialAs(t, url, "braggart").Advert(context.Background(), f); err != nil {
+		t.Fatalf("advert: %v", err)
 	}
+	awaitAdverts(2)
 
-	var resp fetchResponse
-	if st := postJSON(t, url+"/dist/fetch", fetchRequest{Worker: "cold", Key: "never-simulated"}, &resp); st != 200 {
-		t.Fatalf("fetch: HTTP %d", st)
+	resp, err := dialAs(t, url, "cold").Fetch(context.Background(), fetchRequest{Key: "never-simulated"})
+	if err != nil {
+		t.Fatalf("fetch: %v", err)
 	}
 	if resp.Found {
 		t.Fatal("empty-store holder produced a cell")
@@ -313,20 +320,43 @@ func TestFetchFalsePositiveFallsThrough(t *testing.T) {
 	}
 }
 
-// TestAdvertEndpointRejectsMalformedGeometry mirrors the binary codec's
-// strictness on the JSON path.
+// TestAdvertEndpointRejectsMalformedGeometry: an ADVERT frame whose
+// indicator geometry is inconsistent (bit array too short for its size, no
+// hashes, an absurd hash count) ends the sender's session with an ERROR
+// frame and is never absorbed into the advert table.
 func TestAdvertEndpointRejectsMalformedGeometry(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	bad := []advertRequest{
-		{Worker: "w", Gen: 1, Full: true, M: 128, K: 4, Bits: make([]byte, 3)},  // geometry mismatch
-		{Worker: "w", Gen: 1, Full: true, M: 64, K: 0, Bits: make([]byte, 8)},   // no hashes
-		{Worker: "w", Gen: 1, Full: true, M: 64, K: 200, Bits: make([]byte, 8)}, // absurd hashes
+	url := serveWire(t, coord)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	bad := []*cellFilter{
+		{m: 128, k: 4, bits: make([]byte, 3)},  // geometry mismatch
+		{m: 64, k: 0, bits: make([]byte, 8)},   // no hashes
+		{m: 64, k: 200, bits: make([]byte, 8)}, // absurd hashes
 	}
-	for i, req := range bad {
-		if st := postJSON(t, srv.URL+"/dist/advert", req, nil); st != 400 {
-			t.Errorf("malformed advert %d: HTTP %d, want 400", i, st)
+	for i, f := range bad {
+		tr := dialAs(t, url, "w")
+		sess, err := tr.ensure(ctx)
+		if err != nil {
+			t.Fatalf("malformed advert %d: connect: %v", i, err)
+		}
+		if _, err := tr.Advert(ctx, f); err != nil {
+			t.Fatalf("malformed advert %d: send: %v", i, err)
+		}
+		for {
+			sess.mu.Lock()
+			dead, serr := sess.dead, sess.err
+			sess.mu.Unlock()
+			if dead {
+				if serr == nil || !strings.Contains(serr.Error(), "coordinator error") {
+					t.Errorf("malformed advert %d: session ended with %v, want a coordinator error", i, serr)
+				}
+				break
+			}
+			if ctx.Err() != nil {
+				t.Fatalf("malformed advert %d: coordinator kept the session open", i)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	if got := coord.Stats().Adverts; got != 0 {

@@ -6,12 +6,9 @@ package dist
 // coordinator co-execution. All run in -short (the CI race job).
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -19,39 +16,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist/wire"
 	"repro/internal/runner"
 )
 
-// postJSONAuth is postJSON with a shared secret attached.
-func postJSONAuth(t *testing.T, url, secret string, in, out any) int {
-	t.Helper()
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("request: %v", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if secret != "" {
-		req.Header.Set(secretHeader, secret)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("post %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decode %s: %v", url, err)
-		}
-	}
-	return resp.StatusCode
-}
-
 // TestBatchedLeaseStreamsAndRefills: one worker drains a whole batch run
-// through a single /dist/lease round-trip — the initial lease grants
+// through a single LEASE round-trip — the initial lease grants
 // LeaseBatch jobs and every streamed result's reply refills the queue —
 // with results folded correctly in job order.
 func TestBatchedLeaseStreamsAndRefills(t *testing.T) {
@@ -71,27 +41,22 @@ func TestBatchedLeaseStreamsAndRefills(t *testing.T) {
 	}()
 	waitActive(t, srv.URL)
 
-	var lease leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "w", Kinds: []string{echoKind}}, &lease); st != http.StatusOK {
-		t.Fatalf("lease: HTTP %d", st)
-	}
-	if len(lease.Jobs) != 3 {
-		t.Fatalf("initial lease granted %d jobs, want LeaseBatch=3", len(lease.Jobs))
+	w := dialAs(t, srv.URL, "w")
+	lease := leaseAs(t, w, leaseRequest{Worker: "w", Kinds: []string{echoKind}})
+	if lease == nil || len(lease.Jobs) != 3 {
+		t.Fatalf("initial lease granted %+v, want LeaseBatch=3 jobs", lease)
 	}
 	// Stream results one by one, asking for a refill with each; the queue
-	// should stay fed without ever touching /dist/lease again.
+	// should stay fed without ever sending another LEASE.
 	queue := lease.Jobs
 	for len(queue) > 0 {
 		job := queue[0]
 		queue = queue[1:]
-		var resp resultResponse
-		if st := postJSON(t, srv.URL+"/dist/result", resultRequest{
+		resp := resultAs(t, w, resultRequest{
 			Worker: "w", JobID: job.JobID,
 			Result: append([]byte("ok:"), job.Spec...),
 			Kinds:  []string{echoKind}, Refill: 1,
-		}, &resp); st != http.StatusOK {
-			t.Fatalf("result: HTTP %d", st)
-		}
+		})
 		if len(resp.Jobs) > 1 {
 			t.Fatalf("refill granted %d jobs, want at most the 1 asked for", len(resp.Jobs))
 		}
@@ -109,7 +74,7 @@ func TestBatchedLeaseStreamsAndRefills(t *testing.T) {
 	}
 	st := coord.Stats()
 	if st.Leases != 1 {
-		t.Errorf("Leases = %d, want 1 (refills keep the worker off the lease endpoint)", st.Leases)
+		t.Errorf("Leases = %d, want 1 (refills keep the worker off the lease path)", st.Leases)
 	}
 	if st.Refills != 5 {
 		t.Errorf("Refills = %d, want 5 (8 jobs - 3 in the initial batch)", st.Refills)
@@ -137,28 +102,23 @@ func TestLeaseShrinksNearExhaustion(t *testing.T) {
 
 	// Register a second live worker, then lease as the first: 3 pending
 	// split over 2 live workers is ceil(3/2) = 2, not the full batch of 8.
-	var hb heartbeatResponse
-	postJSON(t, srv.URL+"/dist/heartbeat", heartbeatRequest{Worker: "b"}, &hb)
-	var leaseA leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "a", Kinds: []string{echoKind}}, &leaseA); st != http.StatusOK {
-		t.Fatalf("lease a: HTTP %d", st)
-	}
-	if len(leaseA.Jobs) != 2 {
-		t.Errorf("near-exhaustion lease granted %d jobs, want ceil(3 pending / 2 workers) = 2", len(leaseA.Jobs))
+	a, b := dialAs(t, srv.URL, "a"), dialAs(t, srv.URL, "b")
+	heartbeatAs(t, b, heartbeatRequest{Worker: "b"})
+	leaseA := leaseAs(t, a, leaseRequest{Worker: "a", Kinds: []string{echoKind}})
+	if leaseA == nil || len(leaseA.Jobs) != 2 {
+		t.Fatalf("near-exhaustion lease granted %+v, want ceil(3 pending / 2 workers) = 2 jobs", leaseA)
 	}
 	// The other worker asks with Max=1 and gets exactly one.
-	var leaseB leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "b", Kinds: []string{echoKind}, Max: 1}, &leaseB); st != http.StatusOK {
-		t.Fatalf("lease b: HTTP %d", st)
-	}
-	if len(leaseB.Jobs) != 1 {
-		t.Errorf("Max=1 lease granted %d jobs, want 1", len(leaseB.Jobs))
+	leaseB := leaseAs(t, b, leaseRequest{Worker: "b", Kinds: []string{echoKind}, Max: 1})
+	if leaseB == nil || len(leaseB.Jobs) != 1 {
+		t.Fatalf("Max=1 lease granted %+v, want 1 job", leaseB)
 	}
 
-	for _, job := range append(append([]leasedJob(nil), leaseA.Jobs...), leaseB.Jobs...) {
-		postJSON(t, srv.URL+"/dist/result", resultRequest{
-			Worker: job.Label, JobID: job.JobID, Result: append([]byte("ok:"), job.Spec...),
-		}, nil)
+	for _, job := range leaseA.Jobs {
+		resultAs(t, a, resultRequest{Worker: "a", JobID: job.JobID, Result: append([]byte("ok:"), job.Spec...)})
+	}
+	for _, job := range leaseB.Jobs {
+		resultAs(t, b, resultRequest{Worker: "b", JobID: job.JobID, Result: append([]byte("ok:"), job.Spec...)})
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Run: %v", err)
@@ -197,17 +157,15 @@ func TestWorkerDeathMidBatchReassignsOnlyUnfinished(t *testing.T) {
 
 	// The doomed worker takes the whole batch, streams back the first two
 	// results without asking for refills, and is never heard from again.
-	var lease leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "doomed", Kinds: []string{kind}}, &lease); st != http.StatusOK {
-		t.Fatalf("doomed lease: HTTP %d", st)
-	}
-	if len(lease.Jobs) != 4 {
-		t.Fatalf("doomed lease granted %d jobs, want the whole batch of 4", len(lease.Jobs))
+	doomed := dialAs(t, srv.URL, "doomed")
+	lease := leaseAs(t, doomed, leaseRequest{Worker: "doomed", Kinds: []string{kind}})
+	if lease == nil || len(lease.Jobs) != 4 {
+		t.Fatalf("doomed lease granted %+v, want the whole batch of 4", lease)
 	}
 	for _, job := range lease.Jobs[:2] {
-		postJSON(t, srv.URL+"/dist/result", resultRequest{
+		resultAs(t, doomed, resultRequest{
 			Worker: "doomed", JobID: job.JobID, Result: append([]byte("doomed:"), job.Spec...),
-		}, nil)
+		})
 	}
 
 	ctx, cancel := testContext(t)
@@ -235,25 +193,25 @@ func TestWorkerDeathMidBatchReassignsOnlyUnfinished(t *testing.T) {
 	}
 }
 
-// TestAuthRejectsWrongSecret: with a coordinator secret set, every endpoint
-// rejects missing or wrong secrets with 401 and untouched state, and a
-// worker started with the wrong secret exits with a descriptive *AuthError
-// instead of polling forever.
+// TestAuthRejectsWrongSecret: with a coordinator secret set, a session
+// opened with a missing or wrong secret is refused at HELLO and the status
+// endpoint answers 401, both with untouched state, and a worker started
+// with the wrong secret exits with a descriptive *AuthError instead of
+// polling forever.
 func TestAuthRejectsWrongSecret(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Second, Secret: "s3cret"})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
 	for _, secret := range []string{"", "wrong", "s3cret-but-longer"} {
-		if st := postJSONAuth(t, srv.URL+"/dist/lease", secret, leaseRequest{Worker: "w", Kinds: []string{echoKind}}, nil); st != http.StatusUnauthorized {
-			t.Errorf("lease with secret %q: HTTP %d, want 401", secret, st)
+		tr, err := newTransport(WorkerOptions{Coordinator: srv.URL, Name: "w", Secret: secret})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st := postJSONAuth(t, srv.URL+"/dist/heartbeat", secret, heartbeatRequest{Worker: "w"}, nil); st != http.StatusUnauthorized {
-			t.Errorf("heartbeat with secret %q: HTTP %d, want 401", secret, st)
+		if _, err := tr.Lease(context.Background(), leaseRequest{Worker: "w", Kinds: []string{echoKind}}); !errors.As(err, new(*AuthError)) {
+			t.Errorf("lease with secret %q returned %v, want *AuthError", secret, err)
 		}
-		if st := postJSONAuth(t, srv.URL+"/dist/result", secret, resultRequest{Worker: "w", JobID: 1}, nil); st != http.StatusUnauthorized {
-			t.Errorf("result with secret %q: HTTP %d, want 401", secret, st)
-		}
+		tr.Close()
 	}
 	if _, _, _, _, err := Status(nil, nil, srv.URL, "wrong"); !errors.As(err, new(*AuthError)) {
 		t.Errorf("Status with wrong secret returned %v, want *AuthError", err)
@@ -271,7 +229,7 @@ func TestAuthRejectsWrongSecret(t *testing.T) {
 	if !errors.As(err, &ae) {
 		t.Fatalf("wrong-secret RunWorker returned %v (%T), want *AuthError", err, err)
 	}
-	if !strings.Contains(err.Error(), "401") || !strings.Contains(err.Error(), "secret") {
+	if !strings.Contains(err.Error(), "rejected") || !strings.Contains(err.Error(), "-dist-secret") {
 		t.Errorf("AuthError %q not descriptive", err)
 	}
 }
@@ -306,7 +264,7 @@ func TestAuthedFleetCompletes(t *testing.T) {
 
 // TestCoExecuteAloneDrainsBatch: with co-execution enabled, a lone
 // coordinator — no external workers anywhere — completes its own batch
-// through the loopback protocol path, auth included.
+// over a framed wire session on an in-process pipe, auth included.
 func TestCoExecuteAloneDrainsBatch(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{
 		LeaseTTL: time.Second, LeaseBatch: 2, Secret: "s3cret", CoExecute: 2,
@@ -326,10 +284,127 @@ func TestCoExecuteAloneDrainsBatch(t *testing.T) {
 		t.Errorf("Completed = %d, want 6", st.Completed)
 	}
 	if st.Leases < 1 {
-		t.Error("co-execution never leased (did the loopback worker run?)")
+		t.Error("co-execution never leased (did the in-process worker run?)")
+	}
+	if st.FramesIn == 0 {
+		t.Error("FramesIn = 0: the in-process worker bypassed the wire")
 	}
 	if coord.Workers() < 1 {
-		t.Error("loopback worker not counted live")
+		t.Error("in-process worker not counted live")
+	}
+	var sawConn bool
+	for _, wc := range coord.Snapshot().WireConns {
+		if wc.Worker == "coordinator" && wc.FramesIn > 0 {
+			sawConn = true
+		}
+	}
+	if !sawConn {
+		t.Errorf("status lists no wire connection for worker \"coordinator\": %+v", coord.Snapshot().WireConns)
+	}
+}
+
+// TestInProcessSessionEndReclaimsLeases: jobs leased on an in-process
+// session go back to the queue the moment that session ends — as when a
+// released co-execution worker had already leased the next Run's jobs —
+// instead of waiting out the lease TTL.
+func TestInProcessSessionEndReclaimsLeases(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute, LeaseBatch: 4})
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.Run(echoJobs(4), runner.Options{})
+		done <- err
+	}()
+	inProcess := func() *binaryTransport {
+		tr, err := newTransport(WorkerOptions{Coordinator: "http://in-process", Name: "coordinator", dialWire: coord.dialInProcess})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+
+	stopped := inProcess()
+	var lease *leaseResponse
+	for deadline := time.Now().Add(5 * time.Second); lease == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("the Run's jobs were never granted")
+		}
+		lease = leaseAs(t, stopped, leaseRequest{Worker: "coordinator", Kinds: []string{echoKind}})
+	}
+	if len(lease.Jobs) != 4 {
+		t.Fatalf("lease granted %d jobs, want 4", len(lease.Jobs))
+	}
+	stopped.Close() // the worker stops without finishing anything
+
+	next := inProcess()
+	defer next.Close()
+	var again *leaseResponse
+	for deadline := time.Now().Add(5 * time.Second); again == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("leases of the closed session were not reclaimed (waiting out the TTL)")
+		}
+		again = leaseAs(t, next, leaseRequest{Worker: "coordinator", Kinds: []string{echoKind}})
+	}
+	for _, job := range again.Jobs {
+		resultAs(t, next, resultRequest{Worker: "coordinator", JobID: job.JobID, Result: append([]byte("ok:"), job.Spec...)})
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := coord.Stats().Reassigned; got != 4 {
+		t.Errorf("Reassigned = %d, want 4", got)
+	}
+}
+
+// TestInProcessPoisonJobSpendsExpiryBudget: a job whose outcome always
+// ends the in-process session (a result over the frame bound, refused by
+// the worker's writer; a panic text over the string bound, refused by the
+// coordinator) is reclaimed with each session, and every reclaim counts
+// against its expiry budget, so Run fails with the lease-expiry error
+// instead of re-executing the job forever.
+func TestInProcessPoisonJobSpendsExpiryBudget(t *testing.T) {
+	cases := []struct {
+		name string
+		big  bool // allocates over 64 MiB per attempt
+		exec func([]byte) ([]byte, error)
+	}{
+		{"result over MaxPayload", true, func([]byte) ([]byte, error) {
+			return make([]byte, wire.MaxPayload+1), nil
+		}},
+		{"panic text over maxWireStr", false, func([]byte) ([]byte, error) {
+			panic(strings.Repeat("x", maxWireStr+1))
+		}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.big && testing.Short() {
+				t.Skip("allocates over 64 MiB per attempt")
+			}
+			kind := fmt.Sprintf("dist-test.poison-%d", i)
+			var runs atomic.Int64
+			runner.RegisterExecutor(kind, func(spec []byte) ([]byte, error) {
+				runs.Add(1)
+				return tc.exec(spec)
+			})
+			coord := NewCoordinator(CoordinatorOptions{
+				LeaseTTL: time.Minute, CoExecute: 1, MaxLeaseExpiries: 1,
+			})
+			done := make(chan error, 1)
+			go func() {
+				_, err := coord.Run([]runner.Job{{Kind: kind, Key: "poison", Label: "poison"}}, runner.Options{})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "lease expired 2 times") {
+					t.Fatalf("Run returned %v, want the lease-expiry error", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("Run never returned; the job ran %d times", runs.Load())
+			}
+			if got := runs.Load(); got != 2 {
+				t.Errorf("job ran %d times, want 2 (MaxLeaseExpiries 1)", got)
+			}
+		})
 	}
 }
 
@@ -388,23 +463,22 @@ func TestProgressStreamsToWorkers(t *testing.T) {
 
 	// Complete job 1 by hand, then observe its completion on every reply
 	// kind the protocol has.
-	var lease leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "manual", Kinds: []string{echoKind}, Max: 1}, &lease); st != http.StatusOK {
-		t.Fatalf("lease: HTTP %d", st)
+	manual := dialAs(t, srv.URL, "manual")
+	lease := leaseAs(t, manual, leaseRequest{Worker: "manual", Kinds: []string{echoKind}, Max: 1})
+	if lease == nil {
+		t.Fatal("lease granted nothing")
 	}
 	if lease.Total != 2 || lease.Done != 0 {
 		t.Errorf("lease reply progress %d/%d, want 0/2", lease.Done, lease.Total)
 	}
-	var rres resultResponse
-	postJSON(t, srv.URL+"/dist/result", resultRequest{
+	rres := resultAs(t, manual, resultRequest{
 		Worker: "manual", JobID: lease.Jobs[0].JobID,
 		Result: append([]byte("ok:"), lease.Jobs[0].Spec...),
-	}, &rres)
+	})
 	if rres.Done != 1 || rres.Total != 2 {
 		t.Errorf("result reply progress %d/%d, want 1/2", rres.Done, rres.Total)
 	}
-	var hb heartbeatResponse
-	postJSON(t, srv.URL+"/dist/heartbeat", heartbeatRequest{Worker: "manual"}, &hb)
+	hb := heartbeatAs(t, manual, heartbeatRequest{Worker: "manual"})
 	if !hb.Active || hb.Done != 1 || hb.Total != 2 {
 		t.Errorf("heartbeat reply = active %t %d/%d, want active 1/2", hb.Active, hb.Done, hb.Total)
 	}

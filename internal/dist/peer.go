@@ -66,6 +66,12 @@ type peerServer struct {
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]struct{}
+
+	// acceptDone closes when acceptLoop exits; serving counts the serve
+	// goroutines it started. Close waits on both, so no handler is still
+	// writing into the store once it returns.
+	acceptDone chan struct{}
+	serving    sync.WaitGroup
 }
 
 // startPeerServer listens on addr and serves the store to peers until
@@ -79,7 +85,8 @@ func startPeerServer(addr, secret string, store *cellstore.Store) (*peerServer, 
 	}
 	p := &peerServer{
 		secret: secret, store: store, ln: ln,
-		conns: map[net.Conn]struct{}{},
+		conns:      map[net.Conn]struct{}{},
+		acceptDone: make(chan struct{}),
 	}
 	go p.acceptLoop()
 	return p, nil
@@ -88,7 +95,8 @@ func startPeerServer(addr, secret string, store *cellstore.Store) (*peerServer, 
 // Addr is the resolved listen address.
 func (p *peerServer) Addr() string { return p.ln.Addr().String() }
 
-// Close stops accepting and closes every open peer connection.
+// Close stops accepting, closes every open peer connection, and waits for
+// their handlers to return.
 func (p *peerServer) Close() error {
 	p.mu.Lock()
 	p.closed = true
@@ -96,7 +104,10 @@ func (p *peerServer) Close() error {
 		conn.Close()
 	}
 	p.mu.Unlock()
-	return p.ln.Close()
+	err := p.ln.Close()
+	<-p.acceptDone
+	p.serving.Wait()
+	return err
 }
 
 func (p *peerServer) track(conn net.Conn) bool {
@@ -116,12 +127,17 @@ func (p *peerServer) untrack(conn net.Conn) {
 }
 
 func (p *peerServer) acceptLoop() {
+	defer close(p.acceptDone)
 	for {
 		conn, err := p.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		go p.serve(conn)
+		p.serving.Add(1)
+		go func() {
+			defer p.serving.Done()
+			p.serve(conn)
+		}()
 	}
 }
 

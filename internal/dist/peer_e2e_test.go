@@ -37,21 +37,19 @@ func TestDistDirectFetchBypassesCoordinator(t *testing.T) {
 	coord := dist.NewCoordinator(dist.CoordinatorOptions{LeaseTTL: 2 * time.Second})
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(srv.Close)
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
 
 	// The warm worker holds, serves, and — new here — listens for peers.
-	go dist.RunWorker(ctx, dist.WorkerOptions{
+	startWorker(t, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "warm", Poll: 50 * time.Millisecond,
-		Wire: "binary", CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
+		CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
 		Kinds:    []string{"exchange.holder-only"},
 		PeerAddr: "127.0.0.1:0",
 	})
 	waitForAdverts(t, coord, 1)
 
-	go dist.RunWorker(ctx, dist.WorkerOptions{
+	startWorker(t, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "cold", Poll: 10 * time.Millisecond,
-		Wire: "binary", CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
+		CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
 	})
 
 	experiments.ResetMemo()
@@ -117,7 +115,7 @@ func TestDistHolderDeathFallsBackToSimulation(t *testing.T) {
 		defer close(holderDone)
 		dist.RunWorker(holderCtx, dist.WorkerOptions{
 			Coordinator: srv.URL, Name: "warm", Poll: 50 * time.Millisecond,
-			Wire: "binary", CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
+			CacheDir: warm, AdvertInterval: 20 * time.Millisecond,
 			Kinds:    []string{"exchange.holder-only"},
 			PeerAddr: "127.0.0.1:0",
 		})
@@ -126,11 +124,9 @@ func TestDistHolderDeathFallsBackToSimulation(t *testing.T) {
 	killHolder()
 	<-holderDone // peer listener closed, wire connection torn down
 
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go dist.RunWorker(ctx, dist.WorkerOptions{
+	startWorker(t, dist.WorkerOptions{
 		Coordinator: srv.URL, Name: "cold", Poll: 10 * time.Millisecond,
-		Wire: "binary", CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
+		CacheDir: cold, AdvertInterval: 20 * time.Millisecond,
 	})
 
 	experiments.ResetMemo()

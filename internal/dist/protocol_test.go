@@ -1,15 +1,15 @@
 package dist
 
-// White-box protocol tests: drive the coordinator's HTTP endpoints the way
+// White-box protocol tests: drive the coordinator's wire protocol the way
 // a (possibly dying) worker would, and assert the lease machinery —
 // reassignment after expiry, the expiry budget, status reporting — without
 // any simulator involvement.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,24 +46,47 @@ func echoJobs(n int) []runner.Job {
 	return jobs
 }
 
-// postJSON sends one wire message and decodes the reply when out is non-nil.
-func postJSON(t *testing.T, url string, in, out any) int {
+// dialAs opens a wire transport to the coordinator at url as worker name:
+// a worker the test drives by hand, one protocol action at a time.
+func dialAs(t testing.TB, url, name string) *binaryTransport {
 	t.Helper()
-	body, err := json.Marshal(in)
+	tr, err := newTransport(WorkerOptions{Coordinator: url, Name: name})
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		t.Fatalf("transport for %s: %v", name, err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
+// leaseAs sends one LEASE over tr; nil means the coordinator had no work.
+func leaseAs(t *testing.T, tr *binaryTransport, req leaseRequest) *leaseResponse {
+	t.Helper()
+	resp, err := tr.Lease(context.Background(), req)
 	if err != nil {
-		t.Fatalf("post %s: %v", url, err)
+		t.Fatalf("lease as %s: %v", req.Worker, err)
 	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decode %s: %v", url, err)
-		}
+	return resp
+}
+
+// resultAs sends one RESULT over tr and returns the (possibly refilled)
+// reply.
+func resultAs(t *testing.T, tr *binaryTransport, req resultRequest) *resultResponse {
+	t.Helper()
+	resp, err := tr.Result(context.Background(), req)
+	if err != nil {
+		t.Fatalf("result as %s: %v", req.Worker, err)
 	}
-	return resp.StatusCode
+	return resp
+}
+
+// heartbeatAs sends one HEARTBEAT over tr.
+func heartbeatAs(t *testing.T, tr *binaryTransport, req heartbeatRequest) *heartbeatResponse {
+	t.Helper()
+	resp, err := tr.Heartbeat(context.Background(), req)
+	if err != nil {
+		t.Fatalf("heartbeat as %s: %v", req.Worker, err)
+	}
+	return resp
 }
 
 // waitActive polls until the coordinator reports an active batch.
@@ -106,9 +129,8 @@ func TestLeaseReassignment(t *testing.T) {
 	waitActive(t, srv.URL)
 
 	// The doomed worker takes one job and is never heard from again.
-	var lease leaseResponse
-	if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "doomed", Kinds: []string{echoKind}}, &lease); st != http.StatusOK {
-		t.Fatalf("doomed lease: HTTP %d", st)
+	if lease := leaseAs(t, dialAs(t, srv.URL, "doomed"), leaseRequest{Worker: "doomed", Kinds: []string{echoKind}}); lease == nil {
+		t.Fatal("doomed lease granted nothing")
 	}
 
 	ctx, cancel := testContext(t)
@@ -148,19 +170,22 @@ func TestExpiryBudget(t *testing.T) {
 	waitActive(t, srv.URL)
 
 	// A stream of doomed workers: lease, die, repeat.
+	stop := make(chan struct{})
+	defer close(stop)
 	go func() {
 		for i := 0; ; i++ {
-			var lease leaseResponse
-			body, _ := json.Marshal(leaseRequest{Worker: fmt.Sprintf("doomed-%d", i), Kinds: []string{echoKind}})
-			resp, err := http.Post(srv.URL+"/dist/lease", "application/json", bytes.NewReader(body))
+			name := fmt.Sprintf("doomed-%d", i)
+			tr, err := newTransport(WorkerOptions{Coordinator: srv.URL, Name: name})
 			if err != nil {
-				return // server closed: test over
+				return
 			}
-			if resp.StatusCode == http.StatusOK {
-				json.NewDecoder(resp.Body).Decode(&lease)
+			tr.Lease(context.Background(), leaseRequest{Worker: name, Kinds: []string{echoKind}})
+			tr.Close()
+			select {
+			case <-stop:
+				return // test over
+			case <-time.After(20 * time.Millisecond):
 			}
-			resp.Body.Close()
-			time.Sleep(20 * time.Millisecond)
 		}
 	}()
 
@@ -300,8 +325,8 @@ func TestReassignedCountsOnlyRequeues(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			var lease leaseResponse
-			if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: fmt.Sprintf("doomed-%d", i), Kinds: []string{echoKind}}, &lease); st == http.StatusOK {
+			name := fmt.Sprintf("doomed-%d", i)
+			if leaseAs(t, dialAs(t, srv.URL, name), leaseRequest{Worker: name, Kinds: []string{echoKind}}) != nil {
 				break
 			}
 			time.Sleep(10 * time.Millisecond)
@@ -338,14 +363,14 @@ func TestBareWorkerLeasesNothing(t *testing.T) {
 		}
 	}()
 	// A bare worker hammers the queue the whole time and must get nothing.
+	bare := dialAs(t, srv.URL, "bare")
 	for {
 		select {
 		case <-done:
 			return
 		default:
 		}
-		var lease leaseResponse
-		if st := postJSON(t, srv.URL+"/dist/lease", leaseRequest{Worker: "bare"}, &lease); st == http.StatusOK {
+		if lease := leaseAs(t, bare, leaseRequest{Worker: "bare"}); lease != nil {
 			t.Fatalf("kindless worker was granted %d job(s) (first: %+v)", len(lease.Jobs), lease.Jobs[0])
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -371,8 +396,7 @@ func TestStatusReportsProgressAndWorkers(t *testing.T) {
 	if n := coord.Workers(); n != 0 {
 		t.Fatalf("idle coordinator reports %d workers", n)
 	}
-	var hb heartbeatResponse
-	postJSON(t, srv.URL+"/dist/heartbeat", heartbeatRequest{Worker: "w1"}, &hb)
+	hb := heartbeatAs(t, dialAs(t, srv.URL, "w1"), heartbeatRequest{Worker: "w1"})
 	if hb.Active {
 		t.Error("heartbeat reports an active batch on an idle coordinator")
 	}
@@ -385,5 +409,22 @@ func TestStatusReportsProgressAndWorkers(t *testing.T) {
 	}
 	if active || done != 0 || total != 0 || workers != 1 {
 		t.Errorf("Status = done %d total %d workers %d active %t", done, total, workers, active)
+	}
+}
+
+// TestStatusRejectsNonOKReplies: a status reply that is neither 200 nor 401
+// — a proxy's 503, a non-coordinator's 404 — is an error, even when its
+// body decodes as JSON, so a caller never mistakes it for an idle
+// coordinator.
+func TestStatusRejectsNonOKReplies(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		io.WriteString(w, "{}")
+	}))
+	defer srv.Close()
+	st, err := FetchStatus(context.Background(), nil, srv.URL, "")
+	if err == nil || !strings.Contains(err.Error(), "HTTP 503") {
+		t.Fatalf("FetchStatus on a 503 = %+v, %v; want an HTTP 503 error", st, err)
 	}
 }

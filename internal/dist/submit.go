@@ -2,16 +2,14 @@ package dist
 
 // Sweep submissions: the client half of the sweep service. A long-lived
 // coordinator (internal/svc) installs a submission hook via HandleSubmit;
-// submissions arrive over either transport plane — POST /dist/submit on
-// HTTP/JSON, a SUBMIT/SWEEP frame pair on the binary wire — and land in the
-// same hook. A coordinator with no hook (the classic one-shot -serve, or a
+// submissions arrive as a SUBMIT/SWEEP frame pair on the wire and land in
+// that hook. A coordinator with no hook (the classic one-shot -serve, or a
 // bare NewCoordinator in tests) rejects in-band with a descriptive error
 // rather than queueing work it would never run.
 
 import (
 	"context"
 	"fmt"
-	"net/http"
 )
 
 // SubmitRequest asks a sweep-service coordinator to queue one named sweep.
@@ -51,8 +49,7 @@ func (c *Coordinator) HandleSubmit(fn func(SubmitRequest) SubmitResponse) {
 	c.submitMu.Unlock()
 }
 
-// submitRPC is the transport-independent submission handler: the JSON
-// endpoint and the binary SUBMIT frame both land here.
+// submitRPC serves one SUBMIT frame.
 func (c *Coordinator) submitRPC(req SubmitRequest) SubmitResponse {
 	c.submitMu.Lock()
 	fn := c.submit
@@ -63,24 +60,11 @@ func (c *Coordinator) submitRPC(req SubmitRequest) SubmitResponse {
 	return fn(req)
 }
 
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Priority < 0 || req.Priority > maxSweepPriority {
-		http.Error(w, fmt.Sprintf("bad request: sweep priority %d out of range [0, %d]", req.Priority, maxSweepPriority),
-			http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, c.submitRPC(req))
-}
-
 // SubmitSweep submits one named sweep to a sweep-service coordinator and
-// returns its acknowledgment. The submission travels whatever transport o
-// selects — the binary wire by default, HTTP/JSON with o.Wire == "http" or
-// a custom o.Client — and an in-band rejection surfaces as an error with
-// the coordinator's description.
+// returns its acknowledgment. The submission travels as one SUBMIT/SWEEP
+// frame pair on a short-lived wire session (o supplies the coordinator URL
+// and secret), and an in-band rejection surfaces as an error with the
+// coordinator's description.
 func SubmitSweep(ctx context.Context, o WorkerOptions, req SubmitRequest) (SubmitResponse, error) {
 	if req.Priority < 0 || req.Priority > maxSweepPriority {
 		return SubmitResponse{}, fmt.Errorf("dist: sweep priority %d out of range [0, %d]", req.Priority, maxSweepPriority)

@@ -411,5 +411,6 @@ func (r *Reader) readFrame() (Header, []byte, error) {
 }
 
 // ErrNotWire lets callers distinguish "peer does not speak this protocol"
-// (negotiate down to the HTTP transport) from transient connection failures.
+// (a refused upgrade, or a peer listener answering something else) from
+// transient connection failures.
 var ErrNotWire = errors.New("wire: peer does not speak the bashsim wire protocol")

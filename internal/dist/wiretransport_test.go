@@ -1,15 +1,18 @@
 package dist
 
-// White-box tests for the binary wire transport: negotiation, auth,
-// counters, and reconnection across a coordinator restart. These drive real
+// White-box tests for the wire transport: auth, counters, the reconnect
+// backoff, and reconnection across a coordinator restart. These drive real
 // TCP listeners through Coordinator.Serve so the socket-level byte counters
 // are live (httptest bypasses Serve, so tests that only need the protocol
 // keep using it elsewhere).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +32,7 @@ func serveWire(t *testing.T, coord *Coordinator) string {
 	return "http://" + l.Addr().String()
 }
 
-// TestWireFleetCountersAndStatus: a sweep over two forced-binary workers
+// TestWireFleetCountersAndStatus: a sweep over two workers
 // completes with correct results, and the coordinator's socket and frame
 // counters — plus the per-connection detail in the status snapshot — all
 // report the traffic.
@@ -41,7 +44,7 @@ func TestWireFleetCountersAndStatus(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go RunWorker(ctx, WorkerOptions{
 			Coordinator: url, Name: fmt.Sprintf("bin-%d", i),
-			Poll: 5 * time.Millisecond, Kinds: []string{echoKind}, Wire: "binary",
+			Poll: 5 * time.Millisecond, Kinds: []string{echoKind},
 		})
 	}
 
@@ -58,7 +61,7 @@ func TestWireFleetCountersAndStatus(t *testing.T) {
 
 	st := coord.Stats()
 	if st.FramesIn == 0 || st.FramesOut == 0 {
-		t.Errorf("frame counters = %d in / %d out, want both > 0 (binary transport unused?)", st.FramesIn, st.FramesOut)
+		t.Errorf("frame counters = %d in / %d out, want both > 0", st.FramesIn, st.FramesOut)
 	}
 	if st.BytesIn == 0 || st.BytesOut == 0 {
 		t.Errorf("socket byte counters = %d in / %d out, want both > 0", st.BytesIn, st.BytesOut)
@@ -74,9 +77,9 @@ func TestWireFleetCountersAndStatus(t *testing.T) {
 	}
 }
 
-// TestWireAuthRejectedOnHello: a forced-binary worker with the wrong secret
-// exits with *AuthError — the terminal ERROR frame on HELLO must surface
-// exactly like an HTTP 401 does.
+// TestWireAuthRejectedOnHello: a worker with the wrong secret exits with
+// *AuthError — the terminal ERROR frame on HELLO is fatal, not a reason to
+// redial.
 func TestWireAuthRejectedOnHello(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{Secret: "right"})
 	url := serveWire(t, coord)
@@ -84,38 +87,11 @@ func TestWireAuthRejectedOnHello(t *testing.T) {
 	defer cancel()
 	err := RunWorker(ctx, WorkerOptions{
 		Coordinator: url, Name: "intruder", Poll: 5 * time.Millisecond,
-		Kinds: []string{echoKind}, Secret: "wrong", Wire: "binary",
+		Kinds: []string{echoKind}, Secret: "wrong",
 	})
 	var ae *AuthError
 	if !errors.As(err, &ae) {
-		t.Fatalf("wrong-secret binary RunWorker returned %v (%T), want *AuthError", err, err)
-	}
-}
-
-// TestWireNegotiationFallsBackToHTTP: against a coordinator built with
-// Wire: "http" (no binary endpoint), an auto worker negotiates down to
-// HTTP/JSON and the sweep still completes — with zero binary frames.
-func TestWireNegotiationFallsBackToHTTP(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 2 * time.Second, Wire: "http"})
-	url := serveWire(t, coord)
-	ctx, cancel := testContext(t)
-	defer cancel()
-	go RunWorker(ctx, WorkerOptions{
-		Coordinator: url, Name: "legacy", Poll: 5 * time.Millisecond, Kinds: []string{echoKind},
-	})
-
-	outs, err := coord.Run(echoJobs(4), runner.Options{})
-	if err != nil {
-		t.Fatalf("Run over negotiated HTTP: %v", err)
-	}
-	if len(outs) != 4 {
-		t.Fatalf("got %d results, want 4", len(outs))
-	}
-	if st := coord.Stats(); st.FramesIn != 0 || st.FramesOut != 0 {
-		t.Errorf("binary frames flowed (%d in / %d out) despite Wire: \"http\"", st.FramesIn, st.FramesOut)
-	}
-	if st := coord.Stats(); st.BytesIn == 0 {
-		t.Error("socket byte counter stayed 0: HTTP fallback bypassed Serve accounting")
+		t.Fatalf("wrong-secret RunWorker returned %v (%T), want *AuthError", err, err)
 	}
 }
 
@@ -150,7 +126,7 @@ func (l *killableListener) kill() {
 
 // TestWireReconnectAfterCoordinatorRestart: mid-sweep, every connection and
 // the listener die; the coordinator rebinds the same port and the
-// forced-binary workers reconnect (capped backoff) and finish the sweep.
+// workers reconnect (capped backoff) and finish the sweep.
 // Leases lost in the cut reassign via the normal TTL machinery.
 func TestWireReconnectAfterCoordinatorRestart(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 500 * time.Millisecond, LeaseBatch: 2})
@@ -167,7 +143,7 @@ func TestWireReconnectAfterCoordinatorRestart(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go RunWorker(ctx, WorkerOptions{
 			Coordinator: "http://" + addr, Name: fmt.Sprintf("phoenix-%d", i),
-			Poll: 5 * time.Millisecond, Kinds: []string{echoKind}, Wire: "binary",
+			Poll: 5 * time.Millisecond, Kinds: []string{echoKind},
 		})
 	}
 
@@ -222,6 +198,63 @@ func TestReconnectDelayBackoff(t *testing.T) {
 			if d < want/2 || d >= want {
 				t.Fatalf("reconnectDelay(%d) = %v, want in [%v, %v)", fails, d, want/2, want)
 			}
+		}
+	}
+}
+
+// TestDropSessionLogsArmedDelay: the reconnect delay a dropped session
+// logs is the delay it armed, drop after drop as the backoff grows.
+func TestDropSessionLogsArmedDelay(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	tr, err := newTransport(WorkerOptions{
+		Coordinator: "http://127.0.0.1:1", Name: "w",
+		Log: func(format string, args ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := regexp.MustCompile(`reconnecting in (\S+)$`)
+	for drop := 1; drop <= 8; drop++ {
+		a, b := net.Pipe()
+		sess := &wireSession{conn: a, waiters: map[uint32]chan wireReply{}}
+		tr.mu.Lock()
+		tr.sess = sess
+		tr.mu.Unlock()
+		tr.dropSession(sess, errors.New("link down"))
+		b.Close()
+
+		tr.mu.Lock()
+		armed := time.Until(tr.nextDial)
+		tr.mu.Unlock()
+		mu.Lock()
+		line := lines[len(lines)-1]
+		mu.Unlock()
+		m := logged.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("drop %d logged %q, want a reconnect delay", drop, line)
+		}
+		got, err := time.ParseDuration(m[1])
+		if err != nil {
+			t.Fatalf("drop %d: parse %q: %v", drop, m[1], err)
+		}
+		if d := got - armed; d < -3*time.Millisecond || d > 3*time.Millisecond {
+			t.Errorf("drop %d logged a %v delay but armed %v", drop, got, armed)
+		}
+	}
+}
+
+// TestTransportNeedsHTTPURL: a coordinator URL the dialer cannot use fails
+// at once with a description, instead of retrying forever.
+func TestTransportNeedsHTTPURL(t *testing.T) {
+	for _, u := range []string{"https://host:8497", "host:8497", "http://"} {
+		err := RunWorker(context.Background(), WorkerOptions{Coordinator: u, Kinds: []string{echoKind}})
+		if err == nil || !strings.Contains(err.Error(), "needs an http://host:port coordinator URL") {
+			t.Errorf("RunWorker(%q) = %v, want the http://host:port error", u, err)
 		}
 	}
 }

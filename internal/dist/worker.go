@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"runtime/debug"
@@ -33,27 +34,17 @@ type WorkerOptions struct {
 	// Poll is the idle re-poll interval when the coordinator has no work.
 	// Zero selects 500ms.
 	Poll time.Duration
-	// Client overrides the HTTP client (tests shorten timeouts; the
-	// coordinator's co-execution loop substitutes a loopback transport).
-	Client *http.Client
 	// Log, when non-nil, receives one line per lifecycle event (lease,
 	// completion, failure, fleet progress); nil is silent.
 	Log func(format string, args ...any)
-	// Secret is the shared secret sent in the X-Bashsim-Secret header of
-	// every request. It must match the coordinator's; a 401 is fatal (see
+	// Secret is the shared secret whose SHA-256 digest the HELLO frame
+	// carries. It must match the coordinator's; a rejection is fatal (see
 	// AuthError) — retrying cannot fix wrong credentials.
 	Secret string
 	// MaxBatch, when positive, caps how many jobs this worker accepts per
 	// lease below the coordinator's LeaseBatch (bounded queue memory);
 	// zero accepts the coordinator's default.
 	MaxBatch int
-	// Wire selects the transport. "" (or "auto") negotiates: the binary
-	// framed protocol over one persistent connection when the coordinator
-	// speaks it, HTTP/JSON otherwise (and always HTTP when Client is set —
-	// the loopback co-execution path has no socket to upgrade). "binary"
-	// and "http" force their transport; forcing binary against a
-	// coordinator that only speaks HTTP retries with backoff forever.
-	Wire string
 	// CacheDir, when non-empty, is this worker's cell store: adverts cover
 	// its keys, relayed fetches are served from it, and fetched cells are
 	// installed into it. Empty disables advertising (the worker still
@@ -77,6 +68,11 @@ type WorkerOptions struct {
 	// store there is nothing to serve); empty keeps the v4 relay-only
 	// behavior.
 	PeerAddr string
+
+	// dialWire, when set, replaces the TCP dial and HTTP upgrade with an
+	// already-connected frame stream: the coordinator's co-execution worker
+	// talks to it over an in-process pipe.
+	dialWire func() (net.Conn, error)
 }
 
 func (o WorkerOptions) name() string {
@@ -115,13 +111,6 @@ func (o WorkerOptions) advertInterval() time.Duration {
 	return time.Second
 }
 
-func (o WorkerOptions) client() *http.Client {
-	if o.Client != nil {
-		return o.Client
-	}
-	return http.DefaultClient
-}
-
 func (o WorkerOptions) logf(format string, args ...any) {
 	if o.Log != nil {
 		o.Log(format, args...)
@@ -129,8 +118,8 @@ func (o WorkerOptions) logf(format string, args ...any) {
 }
 
 // AuthError reports that the coordinator rejected this worker's shared
-// secret — an HTTP 401 on the JSON transport, a terminal ERROR frame
-// flagged auth-failed on the binary one. It is terminal: unlike a
+// secret — a terminal ERROR frame flagged auth-failed in reply to HELLO, or
+// an HTTP 401 from /dist/status. It is terminal: unlike a
 // connection error, retrying with the same credentials can never succeed,
 // so RunWorker returns it instead of degrading to idle polling.
 type AuthError struct {
@@ -138,7 +127,7 @@ type AuthError struct {
 }
 
 func (e *AuthError) Error() string {
-	return fmt.Sprintf("dist: coordinator %s rejected this worker's credentials (HTTP 401): shared secret mismatch — start the worker with the coordinator's -dist-secret", e.Coordinator)
+	return fmt.Sprintf("dist: coordinator %s rejected this worker's shared secret — start the worker with the coordinator's -dist-secret", e.Coordinator)
 }
 
 // RunWorker leases and executes jobs until ctx is canceled, then returns
@@ -148,8 +137,8 @@ func (e *AuthError) Error() string {
 // — the result reply refills the batch, so a saturated slot stays off the
 // lease endpoint entirely. Connection errors — coordinator not up yet,
 // restarting, partitioned — degrade to idle polling, so workers may be
-// started before the coordinator and survive coordinator restarts. A 401,
-// by contrast, is fatal: RunWorker returns an *AuthError immediately
+// started before the coordinator and survive coordinator restarts. An auth
+// rejection, by contrast, is fatal: RunWorker returns an *AuthError immediately
 // (wrong credentials do not fix themselves).
 //
 // A worker killed mid-batch simply stops heartbeating: the coordinator
@@ -178,7 +167,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 		}
 		defer peer.Close()
 		// Advertise the resolved address (":0" resolves to the kernel's
-		// pick) — it rides the binary HELLO and every lease request.
+		// pick) — it rides the HELLO and every lease request.
 		o.PeerAddr = peer.Addr()
 		o.logf("worker %s: peer listener on %s", o.name(), o.PeerAddr)
 	}
@@ -192,6 +181,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 		store: store,
 		hints: map[string]jobHint{},
 	}
+	defer w.pushes.Wait()
 	slotCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// Route the executors' cell misses through the fleet: held-hinted keys
@@ -211,7 +201,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 	for i := 0; i < o.slots(); i++ {
 		if err := <-errs; err != nil && fatal == nil {
 			fatal = err
-			cancel() // one slot's fatal error (401) stops the others
+			cancel() // one slot's fatal error (auth rejection) stops the others
 		}
 	}
 	if fatal != nil {
@@ -223,7 +213,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 type worker struct {
 	opt   WorkerOptions
 	name  string
-	tr    transport
+	tr    *binaryTransport
 	store *cellstore.Store // nil when no CacheDir
 
 	// progressMu guards the last fleet progress seen across slots, so the
@@ -243,6 +233,10 @@ type worker struct {
 	// Direct-path delta counters, drained onto the next result post (the
 	// coordinator cannot see peer-to-peer traffic, so workers report it).
 	fetchDirect, fetchFallback, peerPuts atomic.Uint64
+
+	// pushes tracks replication pushes in flight: RunWorker waits for them,
+	// so no goroutine of a returned worker still reads its store.
+	pushes sync.WaitGroup
 }
 
 // jobHint is the per-key slice of a grant that fetchKey needs.
@@ -317,7 +311,9 @@ func (w *worker) replicate(job leasedJob) {
 	if !ok {
 		return
 	}
+	w.pushes.Add(1)
 	go func() {
+		defer w.pushes.Done()
 		for _, addr := range job.Owners {
 			if peerPut(context.Background(), addr, w.name, w.opt.Secret, job.Key, raw) {
 				w.peerPuts.Add(1)
@@ -494,14 +490,15 @@ func (w *worker) executeBatch(ctx context.Context, lease *leaseResponse) error {
 		<-hbDone
 	}()
 
-	for len(queue) > 0 {
+	for len(queue) > 0 && ctx.Err() == nil {
 		job := queue[0]
 		queue = queue[1:]
 		w.opt.logf("worker %s: job %d (%s)", w.name, job.JobID, job.Label)
 		res := w.runJob(job)
 		if ctx.Err() != nil {
-			// Killed mid-batch: do not post — the held leases will expire
-			// and the unfinished jobs (this one included) will be
+			// Killed mid-batch: do not post, and start nothing else — the
+			// held leases will expire (or be reclaimed with the session)
+			// and the unfinished jobs, this one included, will be
 			// reassigned, exactly as if the process had died. Results
 			// already posted stay completed.
 			return nil
@@ -656,6 +653,9 @@ func FetchStatus(ctx context.Context, client *http.Client, coordinator, secret s
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusUnauthorized {
 		return st, &AuthError{Coordinator: coordinator}
+	}
+	if resp.StatusCode != http.StatusOK {
+		return st, fmt.Errorf("status: HTTP %d", resp.StatusCode)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return st, err

@@ -1,22 +1,28 @@
 package experiments
 
 // BenchmarkCellFetchVsSimulate quantifies the tentpole claim of the peer
-// cell exchange: downloading a published cell over the wire (HTTP fetch +
-// fail-closed decode + raw install) must be at least an order of magnitude
-// cheaper than re-simulating it. The CI bench script parses the two
-// sub-benchmark timings and fails the build if fetch*10 > simulate.
+// cell exchange: downloading a published cell over the wire (the cold
+// worker's path: a hinted grant, FETCH -> CELL, fail-closed decode, raw
+// install, result) must be at least an order of magnitude cheaper than
+// re-simulating it. The CI bench script parses the two sub-benchmark
+// timings and fails the build if fetch*10 > simulate.
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
+	"context"
+	"fmt"
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/cellstore"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/runner"
 )
+
+// fetchBenchKind is a job kind whose executor only fetches: it fails
+// rather than simulate, so every op the fetch leg times went over the wire.
+const fetchBenchKind = "experiments-bench.fetch"
 
 func BenchmarkCellFetchVsSimulate(b *testing.B) {
 	o := Options{}
@@ -28,43 +34,50 @@ func BenchmarkCellFetchVsSimulate(b *testing.B) {
 	key := rc.cacheKey()
 
 	// Publish the cell once, then stand up a coordinator whose own store
-	// holds it — the fetch path a cold worker would hit.
+	// holds it — every grant of the key carries a "held" hint, and the
+	// worker's FETCH is served from that store.
 	warmDir, coldDir := b.TempDir(), b.TempDir()
 	metrics := runOne(o, rc)
 	if err := cellstore.For(warmDir).Put(key, metrics); err != nil {
 		b.Fatalf("publish cell: %v", err)
 	}
 	coord := dist.NewCoordinator(dist.CoordinatorOptions{CacheDir: warmDir})
-	srv := httptest.NewServer(coord.Handler())
-	b.Cleanup(srv.Close)
-	cold := cellstore.For(coldDir)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatalf("listen: %v", err)
+	}
+	b.Cleanup(func() { l.Close() })
+	go coord.Serve(l)
+	cold := Options{CacheDir: coldDir}
+	runner.RegisterExecutor(fetchBenchKind, func([]byte) ([]byte, error) {
+		if _, ok := fetchCell(cold, rc); !ok {
+			return nil, fmt.Errorf("fetch of %s missed", key)
+		}
+		return nil, nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	b.Cleanup(cancel)
+	go dist.RunWorker(ctx, dist.WorkerOptions{
+		Coordinator: "http://" + l.Addr().String(), Name: "cold",
+		Poll: time.Millisecond, Kinds: []string{fetchBenchKind},
+	})
+	fetchJobs := func(n int) []runner.Job {
+		jobs := make([]runner.Job, n)
+		for i := range jobs {
+			jobs[i] = runner.Job{Kind: fetchBenchKind, Key: key, Label: fmt.Sprintf("fetch %d", i)}
+		}
+		return jobs
+	}
+	// Warm the session before timing anything.
+	if _, err := coord.Run(fetchJobs(1), runner.Options{}); err != nil {
+		b.Fatalf("warm fetch: %v", err)
+	}
 
 	b.Run("fetch", func(b *testing.B) {
-		body, err := json.Marshal(map[string]string{"worker": "bench", "key": key})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			resp, err := http.Post(srv.URL+"/dist/fetch", "application/json", bytes.NewReader(body))
-			if err != nil {
-				b.Fatalf("fetch: %v", err)
-			}
-			var out struct {
-				Found bool   `json:"found"`
-				Raw   []byte `json:"raw"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			if err != nil || !out.Found {
-				b.Fatalf("fetch reply: found=%v err=%v", out.Found, err)
-			}
-			var m core.Metrics
-			if err := cellstore.DecodeRaw(out.Raw, key, &m); err != nil {
-				b.Fatalf("decode fetched cell: %v", err)
-			}
-			if err := cold.PutRaw(key, out.Raw); err != nil {
-				b.Fatalf("install fetched cell: %v", err)
-			}
+		jobs := fetchJobs(b.N)
+		b.ResetTimer()
+		if _, err := coord.Run(jobs, runner.Options{}); err != nil {
+			b.Fatalf("fetch run: %v", err)
 		}
 	})
 

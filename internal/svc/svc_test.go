@@ -108,7 +108,17 @@ func TestServiceEndToEnd(t *testing.T) {
 
 	// The fleet actually moved: the shared lease counter is nonzero on the
 	// raw scrape, and the scrape's normalized shape matches the golden file.
+	// The co-execution worker's session on its in-process pipe closes just
+	// after the last sweep releases it; scrape once no session is live, so
+	// the shape is that of an idle fleet.
 	scrape := httpGet(t, base+"/metrics")
+	for deadline := time.Now().Add(10 * time.Second); metricValue(t, scrape, "bashsim_wire_conns") != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("wire sessions still live 10s after the sweeps finished:\n%s", scrape)
+		}
+		time.Sleep(5 * time.Millisecond)
+		scrape = httpGet(t, base+"/metrics")
+	}
 	if v := metricValue(t, scrape, "bashsim_leases_total"); v <= 0 {
 		t.Errorf("bashsim_leases_total = %v, want > 0", v)
 	}
@@ -189,7 +199,7 @@ func TestSubmitRejections(t *testing.T) {
 		{dist.SubmitRequest{Exp: "fig99"}, "unknown experiment"},
 		{dist.SubmitRequest{Exp: "fig1", Scale: "medium"}, "unknown scale"},
 	} {
-		_, err := dist.SubmitSweep(ctx, dist.WorkerOptions{Coordinator: base, Wire: "http"}, tc.req)
+		_, err := dist.SubmitSweep(ctx, dist.WorkerOptions{Coordinator: base}, tc.req)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("submit %+v: err = %v, want %q", tc.req, err, tc.frag)
 		}

@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench-cell-exchange.sh: run BenchmarkCellFetchVsSimulate (download one
-# published 16-node cell over HTTP + fail-closed decode + raw install, vs
+# published 16-node cell over the wire + fail-closed decode + raw install, vs
 # re-simulating the same cell) and convert the output into a small JSON
 # artifact, so the exchange's headline speedup is trackable per commit.
 #

@@ -1,14 +1,18 @@
 #!/bin/sh
-# bench-wire-json.sh: run BenchmarkWireRoundTrip (binary vs HTTP transport,
-# one lease->execute->result cycle per op) and convert the output into a
-# small JSON artifact, so the per-commit transport latency and
-# coordinator-bytes-per-op are trackable without parsing bench text.
+# bench-wire-json.sh: run BenchmarkWireRoundTrip (one lease->execute->result
+# cycle per op over the wire) and convert the output into a small JSON
+# artifact, so the per-commit transport latency and coordinator-bytes-per-op
+# are trackable without parsing bench text.
 #
 # Usage: bench-wire-json.sh [output.json]   (default BENCH_dist_wire.json)
 #
-# It also asserts the binary transport's headline win so a regression fails
-# the CI step instead of silently shipping: binary must move at most half
-# the coordinator bytes per op of HTTP, at equal-or-better ns/op.
+# It also gates both numbers against absolute ceilings so a regression
+# fails the CI step instead of silently shipping:
+#   * coordinator bytes per op <= 150 (119-121 B/op measured when set);
+#   * ns per op <= 49000, the median of the retired HTTP/JSON transport's
+#     runs of this same benchmark on the host the bound was set on (2-core
+#     AMD EPYC, go1.24); the framed wire measured 37-44 us/op there. The
+#     ceiling was not measured on other host types.
 set -eu
 
 OUT="${1:-BENCH_dist_wire.json}"
@@ -16,36 +20,33 @@ COUNT="${BENCH_WIRE_ITERS:-2000x}"
 TXT="$(mktemp)"
 trap 'rm -f "$TXT"' EXIT INT TERM
 
-go test -run '^$' -bench BenchmarkWireRoundTrip -benchtime "$COUNT" ./internal/dist/ | tee "$TXT"
+go test -run '^$' -bench 'BenchmarkWireRoundTrip$' -benchtime "$COUNT" ./internal/dist/ | tee "$TXT"
 
-awk -v out="$OUT" '
-    / ns\/op/ {
-        split($1, parts, "/")
-        mode = parts[length(parts)]
-        sub(/-[0-9]+$/, "", mode)
+awk -v out="$OUT" -v maxb=150 -v maxns=49000 '
+    /^BenchmarkWireRoundTrip/ && / ns\/op/ {
         for (i = 2; i <= NF; i++) {
-            if ($(i) == "ns/op") ns[mode] = $(i - 1)
-            if ($(i) == "coordB/op") bytes[mode] = $(i - 1)
+            if ($(i) == "ns/op") ns = $(i - 1)
+            if ($(i) == "coordB/op") bytes = $(i - 1)
         }
     }
     END {
-        if (!("binary" in ns) || !("http" in ns)) {
-            print "FAIL: benchmark output missing binary or http results" > "/dev/stderr"
+        if (ns == "" || bytes == "") {
+            print "FAIL: benchmark output missing ns/op or coordB/op" > "/dev/stderr"
             exit 1
         }
         printf "{\n" > out
-        printf "  \"binary\": {\"ns_per_op\": %s, \"coord_bytes_per_op\": %s},\n", ns["binary"], bytes["binary"] > out
-        printf "  \"http\": {\"ns_per_op\": %s, \"coord_bytes_per_op\": %s}\n", ns["http"], bytes["http"] > out
+        printf "  \"ns_per_op\": %s,\n", ns > out
+        printf "  \"coord_bytes_per_op\": %s\n", bytes > out
         printf "}\n" > out
-        if (bytes["binary"] * 2 > bytes["http"]) {
-            printf "FAIL: binary moved %s coordinator B/op vs %s over HTTP (want <= 1/2)\n", bytes["binary"], bytes["http"] > "/dev/stderr"
+        if (bytes + 0 > maxb + 0) {
+            printf "FAIL: %s coordinator B/op (want <= %s)\n", bytes, maxb > "/dev/stderr"
             exit 1
         }
-        if (ns["binary"] + 0 > ns["http"] + 0) {
-            printf "FAIL: binary %s ns/op slower than HTTP %s ns/op\n", ns["binary"], ns["http"] > "/dev/stderr"
+        if (ns + 0 > maxns + 0) {
+            printf "FAIL: %s ns/op (want <= %s)\n", ns, maxns > "/dev/stderr"
             exit 1
         }
-        printf "OK: binary %s B/op, %s ns/op vs HTTP %s B/op, %s ns/op\n", bytes["binary"], ns["binary"], bytes["http"], ns["http"]
+        printf "OK: %s coordinator B/op (<= %s), %s ns/op (<= %s)\n", bytes, maxb, ns, maxns
     }
 ' "$TXT"
 echo "wrote $OUT"
